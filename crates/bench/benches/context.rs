@@ -48,7 +48,7 @@ fn bench_full_lattice_od(c: &mut Criterion) {
     });
     group.finish();
 
-    // A single level (the shape batch_od sees per search round), to
+    // A single level (the batch an evaluator sees per search round), to
     // show the cache also pays before the lattice is fully walked.
     let level5: Vec<Subspace> = Subspace::all_of_dim(D, 5).collect();
     let mut group = c.benchmark_group("level5_od_n5000_d10_k10");

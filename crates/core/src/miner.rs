@@ -458,10 +458,15 @@ impl HosMiner {
     }
 
     /// Finds the outlying subspaces of many dataset members at once,
-    /// fanned out across `config.threads` workers. Results are in
-    /// input order and identical to calling [`HosMiner::query_id`]
-    /// per id (up to wall-clock stats); all ids are validated before
-    /// any search runs.
+    /// fanned out across `config.threads` workers; all ids are
+    /// validated before any search runs. Results are in input order,
+    /// and each answer (`outlying`, `minimal`) and its evaluation
+    /// accounting (`od_evals`, `wasted_evals`, `pruned_*`, `rounds`,
+    /// `lattice_size`) equal [`HosMiner::query_id`]'s. Two stats can
+    /// differ: wall-clock `seconds`, and
+    /// [`SearchStats::nodes_visited`](crate::SearchStats::nodes_visited),
+    /// because each batched query walks its levels with one thread
+    /// while `query_id` splits every level across `config.threads`.
     pub fn query_ids(&self, ids: &[PointId]) -> Result<Vec<QueryOutcome>> {
         for &id in ids {
             self.ensure_member(id)?;
@@ -786,6 +791,65 @@ mod tests {
         }
         assert!(miner.query_ids(&[0, 10_000]).is_err());
         assert!(miner.query_ids(&[]).unwrap().is_empty());
+    }
+
+    /// `query_id` splits each lattice level across `config.threads`;
+    /// `query_ids` walks every level of a batched query on one thread.
+    /// Answers and evaluation counters agree at every thread count —
+    /// `nodes_visited` alone may not (see its field doc), so it is
+    /// deliberately left out of the comparison.
+    #[test]
+    fn search_results_are_thread_count_independent_except_nodes_visited() {
+        let w = generate(&PlantedSpec {
+            n_background: 3000,
+            d: 8,
+            n_clusters: 3,
+            cluster_sigma: 1.0,
+            extent: 60.0,
+            targets: vec![Subspace::from_dims(&[1, 4]), Subspace::from_dims(&[6])],
+            shift_sigmas: 12.0,
+            seed: 18,
+        })
+        .unwrap();
+        let config = HosMinerConfig {
+            k: 5,
+            threads: 1,
+            sample_size: 10,
+            ..HosMinerConfig::default()
+        };
+        let mut miner = HosMiner::fit(w.dataset, config).unwrap();
+        let ids: Vec<PointId> = w
+            .outliers
+            .iter()
+            .map(|o| o.id)
+            .chain((0..3000).step_by(79))
+            .collect();
+        let reference: Vec<QueryOutcome> =
+            ids.iter().map(|&id| miner.query_id(id).unwrap()).collect();
+        assert!(reference.iter().any(QueryOutcome::is_outlier));
+        let same = |id: PointId, a: &QueryOutcome, b: &QueryOutcome, how: &str| {
+            assert_eq!(a.outlying, b.outlying, "{how} point {id}");
+            assert_eq!(a.minimal, b.minimal, "{how} point {id}");
+            let (x, y) = (&a.stats, &b.stats);
+            assert_eq!(x.od_evals, y.od_evals, "{how} point {id}");
+            assert_eq!(x.wasted_evals, y.wasted_evals, "{how} point {id}");
+            assert_eq!(x.pruned_outlier, y.pruned_outlier, "{how} point {id}");
+            assert_eq!(
+                x.pruned_non_outlier, y.pruned_non_outlier,
+                "{how} point {id}"
+            );
+            assert_eq!(x.rounds, y.rounds, "{how} point {id}");
+            assert_eq!(x.lattice_size, y.lattice_size, "{how} point {id}");
+        };
+        for threads in [1, 2, 4] {
+            miner.set_threads(threads);
+            let batch = miner.query_ids(&ids).unwrap();
+            for ((&id, want), got) in ids.iter().zip(&reference).zip(&batch) {
+                same(id, want, got, &format!("query_ids threads={threads}"));
+                let solo = miner.query_id(id).unwrap();
+                same(id, want, &solo, &format!("query_id threads={threads}"));
+            }
+        }
     }
 
     #[test]

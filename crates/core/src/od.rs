@@ -20,6 +20,7 @@ use crate::error::HosError;
 use crate::Result;
 use hos_data::stats;
 use hos_data::{Metric, Subspace};
+use hos_index::batch::parallel_map_claimed;
 use hos_index::KnnEngine;
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -91,6 +92,12 @@ impl Default for ThresholdPolicy {
 
 impl ThresholdPolicy {
     /// Resolves the policy to a concrete threshold value.
+    ///
+    /// `FullSpaceQuantile` computes its sample ODs on the calling
+    /// thread and the [`hos_index::pool`] workers (serially when called
+    /// from inside one); each OD is an independent engine query and
+    /// results keep sample order, so the threshold is bit-identical
+    /// either way.
     pub fn resolve(&self, engine: &dyn KnnEngine, k: usize, seed: u64) -> Result<f64> {
         match *self {
             ThresholdPolicy::Fixed(t) => {
@@ -121,10 +128,8 @@ impl ThresholdPolicy {
                 let mut rng = StdRng::seed_from_u64(seed);
                 ids.shuffle(&mut rng);
                 ids.truncate(sample);
-                let ods: Vec<f64> = ids
-                    .iter()
-                    .map(|&id| engine.od(ds.row(id), k, full, Some(id)))
-                    .collect();
+                let ods =
+                    parallel_map_claimed(&ids, |&id| engine.od(ds.row(id), k, full, Some(id)));
                 let t = stats::quantile(&ods, q)?;
                 if t <= 0.0 {
                     return Err(HosError::Config(

@@ -60,6 +60,12 @@ pub struct SearchStats {
     /// evaluated subspaces; walker-order traversal pays at most that,
     /// and exactly one fold per node on full-lattice walks. Stays 0 on
     /// engine paths that never build a distance cache.
+    ///
+    /// Unlike the other counters this depends on the per-level thread
+    /// count: a level split across threads is walked in contiguous
+    /// chunks, each on a fresh prefix stack, so the number of folds
+    /// shifts with the chunk boundaries.
+    /// Answers and every other counter are thread-count independent.
     pub nodes_visited: u64,
     /// Search rounds (levels evaluated).
     pub rounds: u32,

@@ -1,62 +1,25 @@
-//! Multi-threaded batch OD evaluation.
+//! Order-preserving fan-out over the persistent [`crate::pool`].
 //!
-//! The dynamic subspace search evaluates OD for a whole *level* of the
-//! lattice at a time (all unpruned subspaces with the same
-//! dimensionality), which parallelises embarrassingly: each subspace's
-//! k-NN query is independent. The subspace list is split into
-//! `threads` chunks executed on the persistent [`crate::pool`] worker
-//! pool — threads are spawned once per process and reused across
-//! every call, so a resident server pays no spawn/join latency per
-//! admission batch.
+//! Every parallel region in the workspace goes through one of three
+//! helpers, all returning results in input order:
+//!
+//! * [`parallel_map`] / [`parallel_map_mut`] split a slice into up to
+//!   `threads` contiguous chunks and run each chunk as a pool job —
+//!   for callers whose chunks carry state (a prefix stack per chunk)
+//!   or whose parallelism is a user setting: per-level OD batches
+//!   ([`crate::evaluator`], [`crate::hnsw`]), shard fan-out
+//!   ([`crate::sharded`]) and `hos-core`'s multi-query `batch_search`.
+//! * [`parallel_map_claimed`] lets the caller and the pool workers
+//!   claim independent items one at a time — the dataset-wide
+//!   full-space kernel ([`crate::block`]) and `hos-core`'s threshold
+//!   sample.
+//!
+//! Threads are spawned once per process and reused, so a resident
+//! server pays no spawn/join latency per admission batch.
 
-use crate::context::QueryContext;
-use crate::knn::KnnEngine;
-use crate::pool::run_scoped;
-use hos_data::{PointId, Subspace};
-
-/// Evaluates `OD(query, s)` for every subspace in `subspaces`,
-/// returning results in input order.
-///
-/// A thin convenience wrapper over the [`crate::evaluator`] seam: one
-/// throwaway [`crate::evaluator::OdEvaluator`] evaluates the batch, so
-/// the amortisation cost model lives in exactly one place. When the
-/// engine provides a [`QueryContext`] (linear scan does) and the batch
-/// is large enough to amortise the `n x d` build (summed subspace
-/// dimensionality exceeds `2d`), the pre-distance matrix is computed
-/// once and every subspace OD becomes a cached subset-combine;
-/// otherwise each OD is an independent engine query. Callers that
-/// evaluate several batches for the *same* query point — level-by-level
-/// searches do — should hold one [`KnnEngine::evaluator`] and call
-/// `od_batch` on it per level instead, so the cache amortises across
-/// batches too.
-///
-/// `threads == 1` (or a single subspace) short-circuits to a serial
-/// loop, where thread spawn overhead would dominate small batches.
-pub fn batch_od(
-    engine: &dyn KnnEngine,
-    query: &[f64],
-    k: usize,
-    subspaces: &[Subspace],
-    exclude: Option<PointId>,
-    threads: usize,
-) -> Vec<f64> {
-    engine
-        .evaluator(query, k, exclude)
-        .od_batch(subspaces, threads)
-}
-
-/// [`batch_od`] over an already-built [`QueryContext`]: every OD is a
-/// subset-combine over cached columns. Results are in input order and
-/// identical to the uncached path bit for bit.
-pub fn batch_od_with_context(
-    ctx: &QueryContext<'_>,
-    k: usize,
-    subspaces: &[Subspace],
-    exclude: Option<PointId>,
-    threads: usize,
-) -> Vec<f64> {
-    parallel_map(subspaces, threads, |&s| ctx.od(k, s, exclude))
-}
+use crate::pool::{in_worker, pool_size, run_scoped};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Applies `f` to every item, fanned out across up to `threads`
 /// pooled workers with static chunking; results are in input order.
@@ -64,9 +27,7 @@ pub fn batch_od_with_context(
 /// where even pool hand-off overhead would dominate small batches.
 /// The chunk boundaries are identical to the serial iteration order
 /// and every chunk writes its own disjoint output slice, so results
-/// are **bit-identical** to the serial path for any thread count. The
-/// shared scatter behind [`batch_od`], [`batch_od_with_context`] and
-/// `hos-core`'s `batch_search`.
+/// are **bit-identical** to the serial path for any thread count.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -97,6 +58,47 @@ where
     }
     out.into_iter()
         .map(|o| o.expect("every slot filled"))
+        .collect()
+}
+
+/// [`parallel_map`] with dynamic claiming, for independent items of
+/// similar cost: the calling thread and up to `pool_size() - 1` pool
+/// workers each take the next unclaimed item from a shared counter
+/// until none remain. The caller keeps working while workers wake up,
+/// and a preempted or slow thread simply claims fewer items, so no
+/// static split waits on its slowest chunk. Each result is `f` of its
+/// own item, stored in input order, so results are **bit-identical**
+/// to the serial loop. From inside a pool worker (or with one worker,
+/// or one item) it is that serial loop.
+pub fn parallel_map_claimed<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let runners = pool_size().min(items.len());
+    if runners <= 1 || in_worker() {
+        return items.iter().map(&f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let run = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        *slots[i].lock().expect("slot poisoned") = Some(f(item));
+    };
+    run_scoped(
+        (0..runners)
+            .map(|_| Box::new(&run) as Box<dyn FnOnce() + Send + '_>)
+            .collect(),
+    );
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("slot poisoned")
+                .expect("every item claimed")
+        })
         .collect()
 }
 
@@ -141,71 +143,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinearScan;
-    use hos_data::{Dataset, Metric};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn setup() -> (LinearScan, Vec<f64>, Vec<Subspace>) {
-        let mut rng = StdRng::seed_from_u64(4);
-        let d = 6;
-        let flat: Vec<f64> = (0..500 * d).map(|_| rng.gen_range(0.0..10.0)).collect();
-        let ds = Dataset::from_flat(flat, d).unwrap();
-        let q: Vec<f64> = ds.row(17).to_vec();
-        let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).collect();
-        (LinearScan::new(ds, Metric::L2), q, subspaces)
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let (engine, q, subspaces) = setup();
-        let serial = batch_od(&engine, &q, 5, &subspaces, Some(17), 1);
-        let parallel = batch_od(&engine, &q, 5, &subspaces, Some(17), 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn empty_input() {
-        let (engine, q, _) = setup();
-        assert!(batch_od(&engine, &q, 5, &[], None, 4).is_empty());
-    }
-
-    #[test]
-    fn more_threads_than_work() {
-        let (engine, q, subspaces) = setup();
-        let r = batch_od(&engine, &q, 3, &subspaces[..2], None, 64);
-        assert_eq!(r.len(), 2);
-        assert!(r.iter().all(|v| *v > 0.0));
-    }
-
-    #[test]
-    fn zero_threads_treated_as_one() {
-        let (engine, q, subspaces) = setup();
-        let r = batch_od(&engine, &q, 3, &subspaces[..3], None, 0);
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn cached_batch_identical_to_per_subspace_engine_queries() {
-        // batch_od takes the QueryContext fast path for LinearScan;
-        // it must agree bit for bit with one engine.od call per
-        // subspace (the uncached reference), serial and parallel.
-        let (engine, q, subspaces) = setup();
-        let reference: Vec<f64> = subspaces
-            .iter()
-            .map(|&s| engine.od(&q, 5, s, Some(17)))
-            .collect();
-        for threads in [1, 4] {
-            let cached = batch_od(&engine, &q, 5, &subspaces, Some(17), threads);
-            assert_eq!(cached, reference, "threads={threads}");
-        }
-        let ctx = engine.query_context(&q).expect("linear scan caches");
-        let direct = batch_od_with_context(&ctx, 5, &subspaces, Some(17), 2);
-        assert_eq!(direct, reference);
-    }
 
     #[test]
     fn parallel_map_preserves_order_and_covers_all_items() {
@@ -219,6 +156,15 @@ mod tests {
             );
         }
         assert!(parallel_map(&[] as &[u64], 4, |&x| x).is_empty());
+    }
+
+    #[test]
+    fn parallel_map_claimed_preserves_order_and_covers_all_items() {
+        let items: Vec<u64> = (0..257).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        assert_eq!(parallel_map_claimed(&items, |&x| x * 3 + 1), expected);
+        assert_eq!(parallel_map_claimed(&items[..1], |&x| x + 7), vec![7]);
+        assert!(parallel_map_claimed(&[] as &[u64], |&x| x).is_empty());
     }
 
     #[test]
@@ -236,14 +182,5 @@ mod tests {
         assert_eq!(items[0], 4);
         assert_eq!(items[52], 56);
         assert!(parallel_map_mut(&mut [] as &mut [u64], 4, |&mut x| x).is_empty());
-    }
-
-    #[test]
-    fn cached_batch_counts_distance_evals() {
-        let (engine, q, subspaces) = setup();
-        let before = engine.distance_evals();
-        batch_od(&engine, &q, 5, &subspaces[..4], Some(17), 1);
-        // 4 subspace ODs over 499 non-excluded points each.
-        assert_eq!(engine.distance_evals() - before, 4 * 499);
     }
 }

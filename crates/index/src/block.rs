@@ -25,13 +25,31 @@
 //!   *points* (each point's own dimension fold stays sequential), so
 //!   they auto-vectorize without changing any per-pair op sequence.
 //!
+//! # Parallelism
+//!
+//! Queries are independent, so both modes split the live ids into
+//! contiguous slices — [`SLICES_PER_WORKER`] per [`crate::pool`]
+//! worker — that the calling thread and the pool workers claim one at
+//! a time ([`crate::batch::parallel_map_claimed`]). Each slice owns its
+//! bound row (or accumulator block), its [`TopK`] and its counters;
+//! the shared inputs (column-major copies, tombstone list) are built
+//! once and only read. Per-slice `ods` are concatenated in slice order
+//! and counters summed, so ids stay ascending and the totals match the
+//! serial pass exactly. More slices than threads means a thread that
+//! is preempted or slow to wake leaves the remaining slices to the
+//! others, instead of a static split waiting on its slowest half. A
+//! call from inside a pool worker runs every slice serially (the
+//! pool's nesting rule), with the same result.
+//!
 //! # Bit-identity
 //!
 //! Per `(query, point)` pair the fold is `accumulate(acc, |q_j - p_j|)`
 //! over dimensions in ascending order starting from `0.0` — precisely
 //! [`Metric::pre_dist_sub`] on the full space, the op sequence every
 //! engine's scan performs (and every engine is pinned bit-identical to
-//! `LinearScan`). Chunking lanes span points, never dimensions, so
+//! `LinearScan`). Each query runs start to finish inside one slice, so
+//! the slice split never touches a per-pair fold, a selection or a
+//! sum. Chunking lanes span points, never dimensions, so
 //! each pair's accumulator sequence is untouched; the quantized path
 //! only *skips* pairs that [`TopK::offer`]'s fast path would provably
 //! reject (`lb > bound()` strict — a pair *at* the bound still folds,
@@ -50,9 +68,17 @@
 //! (quantized-bound rejects); they always satisfy
 //! `distance_evals + filtered == live * (live - 1)`.
 
+use crate::batch::parallel_map_claimed;
 use crate::error::IndexError;
+use crate::pool::pool_size;
 use crate::topk::TopK;
 use hos_data::{Dataset, Metric, PointId, QuantizedColumns};
+
+/// Query slices per pool worker in [`fan_out`]: enough that a
+/// preempted or slow thread's share is picked up by the others, few
+/// enough that per-slice setup (one bound row or accumulator block,
+/// one heap) stays noise.
+const SLICES_PER_WORKER: usize = 4;
 
 /// Queries per block: big enough to amortise each column stream,
 /// small enough that a block of accumulator rows stays cache-resident.
@@ -175,43 +201,69 @@ fn quant_guard(d: usize) -> f64 {
     (1.0 - d as f64 * QUANT_GUARD_PER_DIM).max(0.0)
 }
 
+/// Runs `scan` over contiguous slices of `live`, claimed one at a time
+/// by the caller and the pool workers, then concatenates the `ods` in slice order (ids stay
+/// ascending) and sums the counters — see the module docs'
+/// Parallelism section.
+fn fan_out<F>(live: &[PointId], scan: F) -> BlockedScan
+where
+    F: Fn(&[PointId]) -> BlockedScan + Sync,
+{
+    let slice_len = live.len().div_ceil(SLICES_PER_WORKER * pool_size());
+    let slices: Vec<&[PointId]> = live.chunks(slice_len).collect();
+    let parts = parallel_map_claimed(&slices, |slice| scan(slice));
+    let mut out = BlockedScan {
+        ods: Vec::with_capacity(live.len()),
+        distance_evals: 0,
+        filtered: 0,
+    };
+    for part in parts {
+        out.ods.extend(part.ods);
+        out.distance_evals += part.distance_evals;
+        out.filtered += part.filtered;
+    }
+    out
+}
+
 /// Exact blocked kernel: every live pair is folded.
 fn scan_exact(ds: &Dataset, metric: Metric, k: usize, live: &[PointId]) -> BlockedScan {
     let n = ds.len();
     let d = ds.dim();
     let cols = ds.to_column_major();
-    let mut ods = Vec::with_capacity(live.len());
-    let mut acc = vec![0.0f64; BLOCK * n];
-    let mut top = TopK::new(k);
-    for block in live.chunks(BLOCK) {
-        let acc = &mut acc[..block.len() * n];
-        acc.fill(0.0);
-        // Ascending dimensions, exactly the pre_dist_sub fold order.
-        for j in 0..d {
-            let col = &cols[j * n..(j + 1) * n];
-            for (row, &q) in acc.chunks_exact_mut(n).zip(block) {
-                fold_exact_column(metric, row, col, col[q]);
-            }
-        }
-        for (row, &q) in acc.chunks_exact(n).zip(block) {
-            top.reset(k);
-            for (i, &pre) in row.iter().enumerate() {
-                if i == q || !ds.is_live(i) {
-                    continue;
+    let pairs_per_query = live.len() as u64 - 1;
+    fan_out(live, |slice| {
+        let mut ods = Vec::with_capacity(slice.len());
+        let mut acc = vec![0.0f64; BLOCK.min(slice.len()) * n];
+        let mut top = TopK::new(k);
+        for block in slice.chunks(BLOCK) {
+            let acc = &mut acc[..block.len() * n];
+            acc.fill(0.0);
+            // Ascending dimensions, exactly the pre_dist_sub fold order.
+            for j in 0..d {
+                let col = &cols[j * n..(j + 1) * n];
+                for (row, &q) in acc.chunks_exact_mut(n).zip(block) {
+                    fold_exact_column(metric, row, col, col[q]);
                 }
-                top.offer(pre, i);
             }
-            // Ascending (pre, id) summation — the shared OD order.
-            let od: f64 = top.sorted().iter().map(|c| metric.finish(c.pre)).sum();
-            ods.push((q, od));
+            for (row, &q) in acc.chunks_exact(n).zip(block) {
+                top.reset(k);
+                for (i, &pre) in row.iter().enumerate() {
+                    if i == q || !ds.is_live(i) {
+                        continue;
+                    }
+                    top.offer(pre, i);
+                }
+                // Ascending (pre, id) summation — the shared OD order.
+                let od: f64 = top.sorted().iter().map(|c| metric.finish(c.pre)).sum();
+                ods.push((q, od));
+            }
         }
-    }
-    let live_n = live.len() as u64;
-    BlockedScan {
-        ods,
-        distance_evals: live_n * (live_n - 1),
-        filtered: 0,
-    }
+        BlockedScan {
+            ods,
+            distance_evals: slice.len() as u64 * pairs_per_query,
+            filtered: 0,
+        }
+    })
 }
 
 /// Folds one exact `f64` column into a block-row of accumulators:
@@ -291,92 +343,94 @@ fn scan_quantized(ds: &Dataset, metric: Metric, k: usize, live: &[PointId]) -> B
     let qcols = ds.to_column_major_f32();
     let guard = quant_guard(d);
     let dead_ids: Vec<PointId> = (0..n).filter(|&i| !ds.is_live(i)).collect();
-    let mut ods = Vec::with_capacity(live.len());
-    let mut acc = vec![0.0f32; n];
-    let mut top = TopK::new(k);
-    let mut evals = 0u64;
-    let mut filtered = 0u64;
-    // One query at a time, unlike the exact path's query blocks: the
-    // f32 bound row stays L1-resident across the whole dimension loop
-    // (the exact path's f64 accumulator block is re-streamed once per
-    // dimension instead), and the f32 columns are small enough to stay
-    // cache-resident across queries.
-    for &q in live {
-        let row = &mut acc[..];
-        fold_quantized_rows(metric, &qcols, n, d, &[q], row);
-        for &i in &dead_ids {
-            row[i] = f32::INFINITY;
-        }
-        row[q] = f32::INFINITY;
-        top.reset(k);
-        let qrow = ds.row(q);
-        let mut q_evals = 0u64;
-        // Fill: the first k live candidates go straight to exact
-        // folds — the bound is +inf until the heap is full.
-        let mut i = 0usize;
-        while i < n && !top.is_full() {
-            if row[i].is_finite() {
-                let pre = exact_pre(metric, qrow, ds.row(i));
-                q_evals += 1;
-                top.offer(pre, i);
+    let pairs_per_query = live.len() as u64 - 1;
+    fan_out(live, |slice| {
+        let mut ods = Vec::with_capacity(slice.len());
+        let mut acc = vec![0.0f32; n];
+        let mut top = TopK::new(k);
+        let mut evals = 0u64;
+        let mut filtered = 0u64;
+        // One query at a time, unlike the exact path's query blocks:
+        // each query streams the f32 columns into its own bound row
+        // (`4n` bytes — 120 KB at n = 30 000, so L2- rather than
+        // L1-resident), and the sweep reads that row back once.
+        for &q in slice {
+            let row = &mut acc[..];
+            fold_quantized_rows(metric, &qcols, n, d, &[q], row);
+            for &i in &dead_ids {
+                row[i] = f32::INFINITY;
             }
-            i += 1;
-        }
-        // Sweep: strict reject only — `offer` provably drops any
-        // pre above the bound, and `lb * guard <= pre`; a pair
-        // *at* the bound can still tie in on a smaller id.
-        let mut w = top.bound();
-        while i + SWEEP_LANES <= n {
-            let c = &row[i..i + SWEEP_LANES];
-            let mut m = [0.0f32; SWEEP_LANES / 2];
-            for j in 0..SWEEP_LANES / 2 {
-                m[j] = if c[j] < c[j + SWEEP_LANES / 2] {
-                    c[j]
-                } else {
-                    c[j + SWEEP_LANES / 2]
-                };
+            row[q] = f32::INFINITY;
+            top.reset(k);
+            let qrow = ds.row(q);
+            let mut q_evals = 0u64;
+            // Fill: the first k live candidates go straight to exact
+            // folds — the bound is +inf until the heap is full.
+            let mut i = 0usize;
+            while i < n && !top.is_full() {
+                if row[i].is_finite() {
+                    let pre = exact_pre(metric, qrow, ds.row(i));
+                    q_evals += 1;
+                    top.offer(pre, i);
+                }
+                i += 1;
             }
-            let mut width = SWEEP_LANES / 2;
-            while width > 1 {
-                width /= 2;
-                for j in 0..width {
-                    m[j] = if m[j] < m[j + width] {
-                        m[j]
+            // Sweep: strict reject only — `offer` provably drops any
+            // pre above the bound, and `lb * guard <= pre`; a pair
+            // *at* the bound can still tie in on a smaller id.
+            let mut w = top.bound();
+            while i + SWEEP_LANES <= n {
+                let c = &row[i..i + SWEEP_LANES];
+                let mut m = [0.0f32; SWEEP_LANES / 2];
+                for j in 0..SWEEP_LANES / 2 {
+                    m[j] = if c[j] < c[j + SWEEP_LANES / 2] {
+                        c[j]
                     } else {
-                        m[j + width]
+                        c[j + SWEEP_LANES / 2]
                     };
                 }
-            }
-            if f64::from(m[0]) * guard <= w {
-                for (j, &lb) in c.iter().enumerate() {
-                    if f64::from(lb) * guard <= w {
-                        let pre = exact_pre(metric, qrow, ds.row(i + j));
-                        q_evals += 1;
-                        top.offer(pre, i + j);
+                let mut width = SWEEP_LANES / 2;
+                while width > 1 {
+                    width /= 2;
+                    for j in 0..width {
+                        m[j] = if m[j] < m[j + width] {
+                            m[j]
+                        } else {
+                            m[j + width]
+                        };
                     }
                 }
-                w = top.bound();
+                if f64::from(m[0]) * guard <= w {
+                    for (j, &lb) in c.iter().enumerate() {
+                        if f64::from(lb) * guard <= w {
+                            let pre = exact_pre(metric, qrow, ds.row(i + j));
+                            q_evals += 1;
+                            top.offer(pre, i + j);
+                        }
+                    }
+                    w = top.bound();
+                }
+                i += SWEEP_LANES;
             }
-            i += SWEEP_LANES;
-        }
-        for (j, &lb) in row[i..].iter().enumerate() {
-            if f64::from(lb) * guard <= w {
-                let pre = exact_pre(metric, qrow, ds.row(i + j));
-                q_evals += 1;
-                top.offer(pre, i + j);
-                w = top.bound();
+            for (j, &lb) in row[i..].iter().enumerate() {
+                if f64::from(lb) * guard <= w {
+                    let pre = exact_pre(metric, qrow, ds.row(i + j));
+                    q_evals += 1;
+                    top.offer(pre, i + j);
+                    w = top.bound();
+                }
             }
+            let od: f64 = top.sorted().iter().map(|c| metric.finish(c.pre)).sum();
+            ods.push((q, od));
+            evals += q_evals;
+            filtered += pairs_per_query - q_evals;
         }
-        let od: f64 = top.sorted().iter().map(|c| metric.finish(c.pre)).sum();
-        ods.push((q, od));
-        evals += q_evals;
-        filtered += (live.len() - 1) as u64 - q_evals;
-    }
-    BlockedScan {
-        ods,
-        distance_evals: evals,
-        filtered,
-    }
+        BlockedScan {
+            ods,
+            distance_evals: evals,
+            filtered,
+        }
+    })
 }
 
 /// Chunk width of the `f32` lower-bound fold: eight 32-bit lanes fill

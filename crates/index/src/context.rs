@@ -19,8 +19,9 @@
 //! this across all metrics and entire lattices.
 //!
 //! Engines opt in through [`crate::knn::KnnEngine::query_context`];
-//! [`crate::batch::batch_od`] and `hos-core`'s `dynamic_search` use
-//! the cache transparently whenever the engine provides one.
+//! the default [`crate::evaluator::OdEvaluator`] (and so `hos-core`'s
+//! `dynamic_search`) uses the cache transparently whenever the engine
+//! provides one.
 //!
 //! [`LinearScan`]: crate::linear::LinearScan
 

@@ -310,6 +310,44 @@ mod tests {
     }
 
     #[test]
+    fn thread_counts_outside_the_batch_size_are_clamped() {
+        // threads = 0 runs serially; threads beyond the batch size
+        // just leaves workers idle. Both agree with the engine.
+        let d = 6;
+        let ds = dataset(200, d, 6);
+        let engine = LinearScan::new(ds.clone(), Metric::L2);
+        let q: Vec<f64> = ds.row(17).to_vec();
+        let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).collect();
+        for (threads, batch) in [
+            (0, &subspaces[..3]),
+            (64, &subspaces[..2]),
+            (64, &subspaces),
+        ] {
+            let reference: Vec<f64> = batch
+                .iter()
+                .map(|&s| engine.od(&q, 3, s, Some(17)))
+                .collect();
+            let mut ev = engine.evaluator(&q, 3, Some(17));
+            assert_eq!(ev.od_batch(batch, threads), reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn uncached_batch_counts_one_distance_eval_per_candidate() {
+        // Four low-dimensional subspaces stay below the 2d breakeven,
+        // so each OD is an engine query over the 199 non-excluded
+        // points, and the engine's counter sees every one.
+        let d = 6;
+        let ds = dataset(200, d, 7);
+        let engine = LinearScan::new(ds.clone(), Metric::L2);
+        let q: Vec<f64> = ds.row(17).to_vec();
+        let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).take(4).collect();
+        let before = engine.distance_evals();
+        engine.evaluator(&q, 5, Some(17)).od_batch(&subspaces, 1);
+        assert_eq!(engine.distance_evals() - before, 4 * 199);
+    }
+
+    #[test]
     fn empty_batch_is_empty_and_costs_nothing() {
         let ds = dataset(30, 3, 4);
         let engine = LinearScan::new(ds.clone(), Metric::L2);

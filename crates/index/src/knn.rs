@@ -66,9 +66,9 @@ pub trait KnnEngine: Send + Sync {
     }
 
     /// A per-query distance cache over this engine's dataset, when the
-    /// engine supports one (see [`QueryContext`]). Batch evaluators
-    /// ([`crate::batch::batch_od`], `hos-core`'s `dynamic_search`) use
-    /// it transparently: one `n x d` pre-distance pass per query point
+    /// engine supports one (see [`QueryContext`]). The default
+    /// evaluator ([`KnnEngine::evaluator`], behind `hos-core`'s
+    /// `dynamic_search`) uses it transparently: one `n x d` pre-distance pass per query point
     /// replaces per-subspace raw-coordinate scans.
     ///
     /// The default is `None`: engines with their own pruning structure

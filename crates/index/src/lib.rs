@@ -46,9 +46,8 @@
 //! * [`sharded`] — exact intra-query parallelism: [`ShardedEngine`]
 //!   fans each query over contiguous data shards and merges per-shard
 //!   top-k lists losslessly (bit-identical ODs).
-//! * [`batch`] — multi-threaded batch OD evaluation over subspaces,
-//!   cache-accelerated when the engine provides a
-//!   [`context::QueryContext`].
+//! * [`batch`] — order-preserving `parallel_map` fan-out over the
+//!   worker pool, shared by every parallel region.
 //! * [`pool`] — the persistent worker pool behind every parallel
 //!   region: threads spawn once per process and are reused across
 //!   calls (and shared between the CLI and `hos-serve`), so parallel

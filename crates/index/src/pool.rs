@@ -1,7 +1,7 @@
 //! Process-lifetime worker pool behind [`crate::batch::parallel_map`].
 //!
 //! Before this module existed, every `parallel_map` call spawned fresh
-//! crossbeam scoped threads — fine for one-shot CLI runs, but a
+//! scoped threads — fine for one-shot CLI runs, but a
 //! resident server paying a thread spawn + join per admission batch
 //! wastes latency on the hottest path. The pool spawns its workers
 //! once (lazily, on first parallel call) and keeps them parked on a
