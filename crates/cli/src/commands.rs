@@ -39,8 +39,8 @@ USAGE:
                      [--kernel] [... tuning flags]
   hos-miner bench serve (--data FILE | --n 20000 --d 8)
                      [--clients 8] [--requests 25] [--threads CORES]
-                     [--min-speedup 1.5] [--min-bin-speedup 1.3]
-                     [--pipeline 4] [--summary FILE]
+                     [--min-bin-speedup 1.3] [--pipeline 4]
+                     [--summary FILE]
                      [... tuning flags]
   hos-miner probe    [--addr 127.0.0.1:7878]
   hos-miner bench compare [--baseline BENCH_BASELINE.json]
@@ -72,14 +72,12 @@ blocked all-points scan, the full-lattice prefix walker, the hnsw
 query batch, and the storage tier's snapshot write + WAL replay) and
 adds their millisecond keys to the summary. `bench serve` drives an
 in-process hos-serve instance with concurrent clients under a 90/10
-read/write mix across four arms — unbatched, batched with a fixed
-window, batched with the adaptive window, and the hosbin binary
+read/write mix in two arms — HTTP/JSON, and the hosbin binary
 protocol with a pipelined client (--pipeline frames in flight) — and
-merges serve_qps / serve_adaptive_qps / serve_bin_qps (plus their
-p99_ms keys) into the summary; --min-speedup gates the
-batched/unbatched ratio and --min-bin-speedup the hosbin/batched-JSON
-ratio, both enforced only on multi-core machines (one core has
-nothing to fan out across; hosbin still must not regress there).
+merges serve_qps / serve_bin_qps (plus their p99_ms keys) into the
+summary; --min-bin-speedup gates the hosbin/JSON ratio on multi-core
+machines (on one core pipelining has no idle worker to overlap with,
+so the gate becomes a no-regression floor).
 `probe` opens a hosbin connection to a running hos-serve, walks
 healthz / stats / a member query over framed binary and prints
 `hosbin probe: ok` — a deploy smoke check for the binary protocol.
@@ -1033,33 +1031,23 @@ fn kernel_benchmarks() -> Vec<(&'static str, f64)> {
 }
 
 /// `bench serve`: sustained-load benchmark of the resident query
-/// server under a 90/10 read/write mix, across four arms that all
-/// answer bit-identically (pinned by the serve concurrency and
-/// protocol oracles) so each comparison isolates one mechanism:
+/// server under a 90/10 read/write mix, in two arms that answer
+/// bit-identically (pinned by the serve protocol oracle): HTTP/JSON
+/// (`serve_qps`) and **hosbin** with a pipelined binary client —
+/// what the length-prefixed protocol and `--pipeline` in-flight
+/// frames buy (`serve_bin_*`).
 ///
-/// * unbatched (`batch_max 1`) vs **fixed-window batched** — what
-///   cross-request batching buys (`serve_qps`, meaning unchanged
-///   from earlier baselines);
-/// * fixed vs **adaptive window** — what the arrival/cost model buys
-///   in tail latency (`serve_adaptive_*`);
-/// * batched JSON vs **hosbin** with a pipelined binary client —
-///   what the length-prefixed protocol and `--pipeline` in-flight
-///   frames buy (`serve_bin_*`).
-///
-/// The speedup gates (`--min-speedup`, `--min-bin-speedup`) are
-/// enforced only when the machine has more than one core: batching
-/// converts concurrent requests into one parallel fan-out, and
-/// pipelining needs idle workers to overlap with, so on a single
-/// core both gates relax to a no-regression floor.
+/// The `--min-bin-speedup` gate is enforced only when the machine has
+/// more than one core: pipelining needs idle workers to overlap with,
+/// so on a single core it relaxes to a no-regression floor.
 fn cmd_bench_serve(args: &Args) -> CmdResult {
     let ds = if args.get("data").is_some() {
         load(args)?
     } else {
         // Default to a workload where one query costs real work (a
-        // full 20k x 8 OD scan minimum): dynamic batching buys
-        // throughput by fanning execution out across cores, so the
-        // benchmark must not be dominated by per-request socket
-        // overhead the way a toy dataset would be.
+        // full 20k x 8 OD scan minimum), so the benchmark is not
+        // dominated by per-request socket overhead the way a toy
+        // dataset would be.
         let n = args.get_or("n", 20_000usize)?;
         let d = args.get_or("d", 8usize)?;
         let spec = PlantedSpec {
@@ -1078,9 +1066,8 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
     let clients = args.get_or("clients", 8usize)?.max(1);
     let per_client = args.get_or("requests", 25usize)?.max(1);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Batching wins by turning a window of concurrent requests into
-    // one parallel fan-out — give the miner the machine's cores
-    // unless --threads says otherwise.
+    // Give each query's level fan-out the machine's cores unless
+    // --threads says otherwise.
     let threads = args.get_or("threads", cores)?;
 
     let fit_start = std::time::Instant::now();
@@ -1100,8 +1087,6 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
     /// `(qps, p99_ms)`.
     fn drive(
         miner: hos_core::HosMiner,
-        batch_max: usize,
-        adaptive: bool,
         clients: usize,
         per_client: usize,
         n: usize,
@@ -1109,9 +1094,6 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
     ) -> Result<(f64, f64), String> {
         let config = hos_serve::ServeConfig {
             workers: clients.min(16),
-            batch_window: std::time::Duration::from_millis(2),
-            batch_max,
-            adaptive_window: adaptive,
             ..hos_serve::ServeConfig::default()
         };
         let server = hos_serve::Server::start(miner, &config).map_err(|e| e.to_string())?;
@@ -1213,8 +1195,6 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
 
         let config = hos_serve::ServeConfig {
             workers: clients.min(16),
-            batch_window: std::time::Duration::from_millis(2),
-            batch_max: 64,
             ..hos_serve::ServeConfig::default()
         };
         let server = hos_serve::Server::start(miner, &config).map_err(|e| e.to_string())?;
@@ -1231,7 +1211,7 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
                         let mut body = Vec::new();
                         let mut inflight: InFlight = VecDeque::with_capacity(pipeline);
                         for i in 0..per_client {
-                            // Same 90/10 read/write mix as the HTTP arms.
+                            // Same 90/10 read/write mix as the HTTP arm.
                             let (req, is_insert) = if i % 10 == 9 {
                                 match inserted.pop() {
                                     Some(id) => (hos_serve::ApiRequest::Retire(id), false),
@@ -1281,66 +1261,24 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
         Ok((total as f64 / elapsed.max(1e-12), p99))
     }
 
-    // The server consumes its miner; fit identical twins for the
-    // other arms (fitting is deterministic, so the workloads match).
-    let fit_twin = || -> Result<hos_core::HosMiner, String> {
-        let mut m = build_miner(args, miner.engine().dataset().clone())?;
-        m.set_threads(threads);
-        Ok(m)
-    };
-    let twin_unbatched = fit_twin()?;
-    let twin_fixed = fit_twin()?;
-    let twin_bin = fit_twin()?;
+    // The server consumes its miner; fit an identical twin for the
+    // hosbin arm (fitting is deterministic, so the workloads match).
+    let mut twin_bin = build_miner(args, miner.engine().dataset().clone())?;
+    twin_bin.set_threads(threads);
     let pipeline = args.get_or("pipeline", 4usize)?.max(1);
-    let (unbatched_qps, unbatched_p99) =
-        drive(twin_unbatched, 1, false, clients, per_client, n, dim)?;
-    let (serve_qps, serve_p99) = drive(twin_fixed, 64, false, clients, per_client, n, dim)?;
-    let (adaptive_qps, adaptive_p99) = drive(miner, 64, true, clients, per_client, n, dim)?;
+    let (serve_qps, serve_p99) = drive(miner, clients, per_client, n, dim)?;
     let (bin_qps, bin_p99) = drive_bin(twin_bin, clients, per_client, n, dim, pipeline)?;
-    let speedup = serve_qps / unbatched_qps.max(1e-12);
     let bin_speedup = bin_qps / serve_qps.max(1e-12);
-    println!("serve unbatched: {unbatched_qps:.1} req/s, p99 {unbatched_p99:.2} ms  (batch_max 1)");
+    println!("serve json:   {serve_qps:.1} req/s, p99 {serve_p99:.2} ms");
     println!(
-        "serve batched:   {serve_qps:.1} req/s, p99 {serve_p99:.2} ms  (batch_max 64, fixed window)"
-    );
-    println!(
-        "serve adaptive:  {adaptive_qps:.1} req/s, p99 {adaptive_p99:.2} ms  \
-         (batch_max 64, adaptive window)"
-    );
-    println!(
-        "serve hosbin:    {bin_qps:.1} req/s, p99 {bin_p99:.2} ms  \
+        "serve hosbin: {bin_qps:.1} req/s, p99 {bin_p99:.2} ms  \
          (binary protocol, pipeline {pipeline})"
     );
-    println!("serve speedup:   {speedup:.2}x batched over unbatched");
-    println!("serve bin speedup: {bin_speedup:.2}x hosbin over batched JSON");
-    if let Some(min) = args.get_opt::<f64>("min-speedup")? {
-        if cores > 1 && speedup < min {
-            return Err(format!(
-                "batched serve throughput only {speedup:.2}x unbatched (gate: {min}x)"
-            ));
-        }
-        if cores <= 1 {
-            // One core cannot fan a batch out, so the speedup gate
-            // does not apply — but batching must never COST
-            // throughput either. The batcher closes its window as
-            // soon as the admission queue drains, so batched ≥ 0.95x
-            // unbatched holds even here; gate that floor.
-            if speedup < 0.95 {
-                return Err(format!(
-                    "batched serve throughput {speedup:.2}x unbatched on one core \
-                     (floor: 0.95x — the batch window must close when the queue drains)"
-                ));
-            }
-            println!(
-                "note: single core — the {min}x speedup gate becomes a 0.95x \
-                 no-regression floor (batching needs cores to fan out across)"
-            );
-        }
-    }
+    println!("serve bin speedup: {bin_speedup:.2}x hosbin over JSON");
     if let Some(min) = args.get_opt::<f64>("min-bin-speedup")? {
         if cores > 1 && bin_speedup < min {
             return Err(format!(
-                "hosbin throughput only {bin_speedup:.2}x batched JSON (gate: {min}x)"
+                "hosbin throughput only {bin_speedup:.2}x JSON (gate: {min}x)"
             ));
         }
         if cores <= 1 {
@@ -1350,7 +1288,7 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
             // so it must never be slower than the JSON path.
             if bin_speedup < 0.95 {
                 return Err(format!(
-                    "hosbin throughput {bin_speedup:.2}x batched JSON on one core \
+                    "hosbin throughput {bin_speedup:.2}x JSON on one core \
                      (floor: 0.95x — the binary path must not cost throughput)"
                 ));
             }
@@ -1368,9 +1306,6 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
     if summary_path != "-" {
         let serve_fields = format!(
             "\"serve_qps\": {serve_qps:.3},\n    \"serve_p99_ms\": {serve_p99:.3},\n    \
-             \"serve_unbatched_qps\": {unbatched_qps:.3},\n    \"serve_speedup\": {speedup:.3},\n    \
-             \"serve_adaptive_qps\": {adaptive_qps:.3},\n    \
-             \"serve_adaptive_p99_ms\": {adaptive_p99:.3},\n    \
              \"serve_bin_qps\": {bin_qps:.3},\n    \"serve_bin_p99_ms\": {bin_p99:.3},\n    \
              \"serve_bin_speedup\": {bin_speedup:.3}"
         );
@@ -1502,7 +1437,7 @@ fn cmd_bench_compare(args: &Args) -> CmdResult {
     // lacking one is a note, not an error. Naming a key in --keys
     // makes it required — a strict CI compare must never silently
     // compare nothing.
-    let registry: [(&str, bool, bool); 15] = [
+    let registry: [(&str, bool, bool); 13] = [
         ("queries_per_s", true, true),
         ("fit_seconds", false, true),
         ("blocked_scan_ms", false, false),
@@ -1518,10 +1453,8 @@ fn cmd_bench_compare(args: &Args) -> CmdResult {
         // serve`; older baselines skip-with-note.
         ("serve_qps", true, false),
         ("serve_p99_ms", false, false),
-        // adaptive-window and hosbin arms (bench serve since the
-        // binary protocol); older baselines skip-with-note.
-        ("serve_adaptive_qps", true, false),
-        ("serve_adaptive_p99_ms", false, false),
+        // hosbin arm (bench serve since the binary protocol); older
+        // baselines skip-with-note.
         ("serve_bin_qps", true, false),
         ("serve_bin_p99_ms", false, false),
         // storage kernels (bench --kernel since the durable tier):

@@ -525,12 +525,12 @@ impl HosMiner {
     /// typed error the corresponding [`HosMiner::query_id`] /
     /// [`HosMiner::query_point`] call would return.
     ///
-    /// This is the serving seam: an admission batcher coalesces
-    /// concurrent requests into one `query_each` call, and because
-    /// `dynamic_search` is deterministic and the fan-out preserves
-    /// input order, every outcome is **bit-identical** to running
-    /// that query alone — one slow or invalid request can neither
-    /// change nor fail its batch-mates.
+    /// This is the serving seam: `hos-serve` runs each query request
+    /// as one `query_each` call, and because `dynamic_search` is
+    /// deterministic and the fan-out preserves input order, every
+    /// outcome is **bit-identical** to running that query alone —
+    /// one slow or invalid spec can neither change nor fail its
+    /// batch-mates.
     pub fn query_each(&self, specs: &[QuerySpec]) -> Vec<Result<QueryOutcome>> {
         let ds = self.engine.dataset();
         let d = ds.dim();

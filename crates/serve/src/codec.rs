@@ -61,7 +61,7 @@ pub mod op {
 /// One decoded API request, whichever wire it arrived on.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ApiRequest {
-    /// Query one or more specs (batched through the admission queue).
+    /// Query one or more specs (one `query_each` under the read lock).
     Query(Vec<QuerySpec>),
     /// Rank live points and search the top hits.
     Scan { top: usize },
@@ -182,7 +182,7 @@ pub fn execute(state: &SharedState, req: ApiRequest) -> Result<ApiReply, ApiErro
     match req {
         ApiRequest::Query(specs) => {
             let (version, results) = state
-                .submit_query(specs)
+                .submit_query(&specs)
                 .map_err(|e| ApiError::from_serve(&e))?;
             Ok(ApiReply::Query { version, results })
         }

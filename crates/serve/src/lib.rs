@@ -12,9 +12,8 @@
 //! * [`server`] — thread-per-core accept workers, each owning its
 //!   connections end to end plus a reusable response buffer.
 //! * [`state`] — the miner behind a single-writer/many-reader lock;
-//!   a cross-request **dynamic batcher** that coalesces concurrent
-//!   queries into time/size-bounded windows and drives each window
-//!   through one `HosMiner::query_each` fan-out (answers are
+//!   each query request runs one `HosMiner::query_each` fan-out
+//!   under the read lock on its worker thread (answers are
 //!   bit-identical to serial execution — pinned by the concurrency
 //!   oracle test); a bounded write queue drained by one writer
 //!   thread that bumps a version counter under the write lock.

@@ -6,7 +6,6 @@ use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::{Dataset, Metric, Subspace};
 use hos_index::Engine;
 use hos_serve::{ServeConfig, Server};
-use std::time::Duration;
 
 const HELP: &str = "\
 hos-serve — resident HTTP query server for HOS-Miner
@@ -18,19 +17,17 @@ USAGE:
             [--engine linear|xtree|vafile|hnsw] [--metric l1|l2|linf]
             [--ef N] [--recall-target 0.95]
             [--threads 1] [--shards 1] [--samples 20]
-            [--addr 127.0.0.1:7878] [--workers 0]
-            [--batch-window-ms 2] [--batch-max 64] [--queue-cap 1024]
-            [--fixed-window] [--query-weight 3] [--scan-weight 1]
+            [--addr 127.0.0.1:7878] [--workers 0] [--queue-cap 1024]
+            [--query-weight 3] [--scan-weight 1]
             [--sync-every 64] [--snapshot-every 4096]
+  hos-serve --help
 
 Fits once at startup, then serves POST /query /scan /insert /retire
 /explain and GET /stats /healthz until POST /shutdown, which drains
 gracefully: admitted work finishes, new work gets 503. --workers 0
-means one HTTP worker per core. --batch-max 1 disables cross-request
-batching (answers are bit-identical either way). Batch windows are
-adaptive by default: the batcher holds a dry window open only while
-its arrival/cost model says waiting beats executing now (capped by
---batch-window-ms); --fixed-window restores close-when-dry windows.
+means one HTTP worker per core. Each query request runs on the worker
+that read it, under the read lock; writes go through one writer
+thread whose queue holds --queue-cap writes (a full queue is a 429).
 --query-weight/--scan-weight split worker capacity between endpoints:
 at most workers*scan/(query+scan) scans run at once, so scan bursts
 cannot starve point queries (excess scans get 429 after a short wait).
@@ -49,7 +46,38 @@ ops) before the client is acknowledged, and a compacted columnar
 snapshot is checkpointed every --snapshot-every writes and at drain.
 A fresh --data-dir is initialised from the data flags. The tuning
 flags must match the ones the store was created with (a mismatch is
-a typed startup error, not silent divergence).";
+a typed startup error, not silent divergence). Any other flag is
+an error.";
+
+/// Every flag in the USAGE block above that takes a value.
+const VALUE_FLAGS: &[&str] = &[
+    "data",
+    "n",
+    "d",
+    "seed",
+    "model",
+    "data-dir",
+    "k",
+    "threshold",
+    "quantile",
+    "engine",
+    "metric",
+    "ef",
+    "recall-target",
+    "threads",
+    "shards",
+    "samples",
+    "addr",
+    "workers",
+    "queue-cap",
+    "query-weight",
+    "scan-weight",
+    "sync-every",
+    "snapshot-every",
+];
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["header", "help"];
 
 struct Flags {
     map: Vec<(String, String)>,
@@ -66,9 +94,11 @@ impl Flags {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument {arg:?}"));
             };
-            if name == "header" || name == "help" || name == "fixed-window" {
+            if SWITCHES.contains(&name) {
                 switches.push(name.to_string());
                 i += 1;
+            } else if !VALUE_FLAGS.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
             } else {
                 let value = argv
                     .get(i + 1)
@@ -313,11 +343,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     let config = ServeConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
         workers: flags.num("workers", 0)?,
-        batch_window: Duration::from_millis(flags.num("batch-window-ms", 2)?),
-        batch_max: flags.num("batch-max", 64)?,
-        query_queue_cap: flags.num("queue-cap", 1024)?,
         write_queue_cap: flags.num("queue-cap", 1024)?,
-        adaptive_window: !flags.switch("fixed-window"),
         query_weight: flags.num("query-weight", 3)?,
         scan_weight: flags.num("scan-weight", 1)?,
     };
@@ -334,15 +360,13 @@ fn run(argv: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     println!(
-        "hos-serve listening on {} (live={live} dim={dim} workers={} batch_max={} window={}ms)",
+        "hos-serve listening on {} (live={live} dim={dim} workers={})",
         server.addr(),
         if config.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             config.workers
         },
-        config.batch_max,
-        config.batch_window.as_millis()
     );
     let report = server.wait();
     println!(
@@ -364,5 +388,25 @@ fn main() {
     if let Err(e) = run(&argv) {
         eprintln!("hos-serve: {e}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The accepted flags are exactly the ones the USAGE block lists.
+    #[test]
+    fn accepted_flags_match_the_usage_block() {
+        let (_, usage) = HELP.split_once("USAGE:").unwrap();
+        let (usage, _) = usage.split_once("\n\n").unwrap();
+        let mut listed: Vec<&str> = usage
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']' || c == '(' || c == ')')
+            .filter_map(|t| t.strip_prefix("--"))
+            .collect();
+        listed.sort_unstable();
+        let mut accepted: Vec<&str> = VALUE_FLAGS.iter().chain(SWITCHES).copied().collect();
+        accepted.sort_unstable();
+        assert_eq!(listed, accepted);
     }
 }

@@ -25,7 +25,7 @@
 //! | missing/invalid fields      | 400    | `bad_request`         |
 //! | `HosError::Query`/`Config`  | 400    | `query` / `config`    |
 //! | `HosError::Index`/`Data`    | 422    | `index` / `data`      |
-//! | queue full / scan gate      | 429    | `backpressure`        |
+//! | write queue / scan gate     | 429    | `backpressure`        |
 //! | draining                    | 503    | `draining`            |
 //! | unknown path / opcode       | 404    | `not_found` / `unknown_opcode` |
 //! | wrong method                | 405    | `method_not_allowed`  |
@@ -39,7 +39,6 @@ use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
 use tinyhttp::{Conn, HttpServer, Protocol, Request};
 
 /// Tuning knobs of one server instance.
@@ -49,19 +48,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// HTTP worker threads; `0` = one per available core.
     pub workers: usize,
-    /// Longest the batcher holds a window open after the first
-    /// request arrives (hard cap in adaptive mode too).
-    pub batch_window: Duration,
-    /// Maximum specs per batch; `1` disables cross-request batching.
-    pub batch_max: usize,
-    /// Admission queue capacity (requests, not specs).
-    pub query_queue_cap: usize,
     /// Write queue capacity.
     pub write_queue_cap: usize,
-    /// Adaptive batch windows: hold a dry window open only while the
-    /// arrival/cost model says the wait beats executing now. `false`
-    /// restores the fixed close-when-dry window.
-    pub adaptive_window: bool,
     /// Relative weight of point queries when splitting worker
     /// capacity between endpoints (see `scan_weight`).
     pub query_weight: usize,
@@ -77,11 +65,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            batch_window: Duration::from_millis(2),
-            batch_max: 64,
-            query_queue_cap: 1024,
             write_queue_cap: 1024,
-            adaptive_window: true,
             query_weight: 3,
             scan_weight: 1,
         }
@@ -97,9 +81,9 @@ pub struct ServeReport {
     pub bin_requests: u64,
     /// Query specs executed.
     pub specs: u64,
-    /// Batches executed.
+    /// Query requests executed, one `query_each` each.
     pub batches: u64,
-    /// Largest batch observed.
+    /// Largest spec count of any one query request.
     pub max_batch: usize,
     /// Writes applied.
     pub writes: u64,
@@ -115,13 +99,12 @@ pub struct Server {
     state: Arc<SharedState>,
     addr: SocketAddr,
     workers: Vec<thread::JoinHandle<()>>,
-    batcher: thread::JoinHandle<()>,
     writer: thread::JoinHandle<()>,
     done_rx: mpsc::Receiver<()>,
 }
 
 impl Server {
-    /// Binds, spawns the worker/batcher/writer threads and returns
+    /// Binds, spawns the worker and writer threads and returns
     /// immediately. `miner` must already be fitted.
     pub fn start(miner: HosMiner, config: &ServeConfig) -> io::Result<Server> {
         Server::start_with_store(miner, config, None)
@@ -145,15 +128,7 @@ impl Server {
             .checked_div(config.query_weight + config.scan_weight)
             .unwrap_or(workers)
             .max(1);
-        let state = SharedState::new(
-            miner,
-            config.batch_window,
-            config.batch_max,
-            config.query_queue_cap,
-            config.write_queue_cap,
-            config.adaptive_window,
-            scan_permits,
-        );
+        let state = SharedState::new(miner, config.write_queue_cap, scan_permits);
         if let Some((s, snapshot_every, carry)) = store {
             state.attach_store(s, snapshot_every, carry);
         }
@@ -161,12 +136,6 @@ impl Server {
         let addr = http.local_addr();
         let (done_tx, done_rx) = mpsc::channel::<()>();
 
-        let batcher = {
-            let s = Arc::clone(&state);
-            thread::Builder::new()
-                .name("hos-serve-batch".into())
-                .spawn(move || s.batcher_loop())?
-        };
         let writer = {
             let s = Arc::clone(&state);
             thread::Builder::new()
@@ -189,7 +158,6 @@ impl Server {
             state,
             addr,
             workers: handles,
-            batcher,
             writer,
             done_rx,
         })
@@ -223,16 +191,16 @@ impl Server {
     }
 
     /// Drains and joins everything: stop accepting, finish in-flight
-    /// connections and queued work, join all threads.
+    /// connections and queued writes, join all threads.
     pub fn join(self) -> ServeReport {
         self.state.start_drain();
         self.http.shutdown();
         for w in self.workers {
             let _ = w.join();
         }
-        // Workers are gone, so nothing can enqueue; the queues drain
-        // to empty and both loops exit.
-        let _ = self.batcher.join();
+        // Workers are gone, so every query has finished and nothing
+        // can enqueue a write; the write queue drains and the writer
+        // exits.
         let _ = self.writer.join();
         let c = &self.state.counters;
         ServeReport {

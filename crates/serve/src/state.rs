@@ -1,37 +1,33 @@
 //! Shared serving state: the miner behind a single-writer/many-reader
-//! lock, the cross-request dynamic batcher and the write queue.
+//! lock, the direct query path and the write queue.
 //!
 //! Concurrency discipline (DESIGN.md §11):
 //!
-//! * **Reads** (query batches, scans, explains, stats) take the
-//!   `RwLock` read side — any number run at once.
+//! * **Reads** (queries, scans, explains, stats) take the `RwLock`
+//!   read side on the calling worker thread — any number run at once.
+//!   A query request runs ONE [`HosMiner::query_each`] over its specs
+//!   — the same `batch_search` fan-out the CLI uses, so every answer
+//!   is bit-identical to running that query alone.
 //! * **Writes** (insert/retire) go through a bounded queue drained by
 //!   ONE writer thread that takes the write side, applies the
 //!   mutation, and bumps [`SharedState::version`] *while still
 //!   holding the lock*. A reader that loads `version` under the read
 //!   lock therefore observes the state exactly as of that version —
 //!   the serialization point the concurrency oracle replays against.
-//! * **Query batching**: requests enqueue their [`QuerySpec`]s on a
-//!   bounded admission queue; one batcher thread collects a window
-//!   (first arrival opens it, it closes after `batch_window` or at
-//!   `batch_max` specs) and drives the whole window through ONE
-//!   [`HosMiner::query_each`] call — the same `batch_search` fan-out
-//!   the CLI uses, so every answer is bit-identical to running that
-//!   query alone. In **adaptive** mode (DESIGN.md §13) the batcher
-//!   additionally holds a non-full window open for one expected
-//!   inter-arrival gap when the EWMA cost model says the wait is
-//!   cheaper than executing now — and closes immediately otherwise.
+//!   The single writer also fixes WAL order.
 //! * **Per-endpoint weights**: scans run on worker threads under the
 //!   read lock, so a burst of `/scan` requests could occupy every
 //!   worker and starve point queries. A semaphore sized from the
 //!   configured query:scan weights caps concurrent scans; waiting is
 //!   bounded, then typed backpressure (429).
-//! * **Backpressure**: a full queue rejects immediately with a typed
-//!   error the HTTP layer maps to 429; nothing blocks unboundedly.
+//! * **Backpressure**: a full write queue rejects immediately with a
+//!   typed error the HTTP layer maps to 429; nothing blocks
+//!   unboundedly.
 //! * **Drain**: shutdown flips `draining` (new work is refused with a
-//!   503-mapped error), wakes both queues, and the batcher/writer
-//!   threads finish everything already admitted before exiting — no
-//!   admitted request is ever dropped.
+//!   503-mapped error) and wakes the writer, which finishes every
+//!   write already admitted before exiting; queries already past the
+//!   draining check finish on their worker thread, which the server
+//!   joins first — no admitted request is ever dropped.
 
 use hos_core::{HosError, HosMiner, ModelFile, QueryOutcome, QuerySpec};
 use hos_data::PointId;
@@ -47,7 +43,8 @@ use std::time::{Duration, Instant};
 /// while) the miner saw it.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The admission or write queue is full — try again later (429).
+    /// The write queue is full, or a scan waited out its permit —
+    /// try again later (429).
     Backpressure(&'static str),
     /// The server is draining and takes no new work (503).
     Draining,
@@ -85,14 +82,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Internal(what) => write!(f, "internal error: {what}"),
         }
     }
-}
-
-/// One admitted query request: its specs plus the channel its
-/// response goes back on. The batcher replies with the version the
-/// batch observed and one result per spec, in order.
-struct QueryJob {
-    specs: Vec<QuerySpec>,
-    reply: mpsc::Sender<(u64, Vec<Result<QueryOutcome, HosError>>)>,
 }
 
 /// A mutation for the writer thread.
@@ -157,9 +146,9 @@ pub struct Counters {
     pub queries: AtomicU64,
     /// Individual query specs executed.
     pub specs: AtomicU64,
-    /// Batches the batcher executed.
+    /// Query requests executed, one `query_each` each.
     pub batches: AtomicU64,
-    /// Largest spec count any single batch reached.
+    /// Largest spec count of any one query request.
     pub max_batch: AtomicUsize,
     /// Writes applied (insert + retire).
     pub writes: AtomicU64,
@@ -184,23 +173,6 @@ struct StoreSlot {
     carry: (u64, u64, u64),
 }
 
-/// EWMA of the query inter-arrival gap, updated on every admission.
-#[derive(Default)]
-struct ArrivalEwma {
-    last: Option<Instant>,
-    /// Smoothed gap in microseconds; `0.0` = no estimate yet.
-    gap_us: f64,
-}
-
-/// EWMAs of batch execution cost, updated after every batch.
-#[derive(Default)]
-struct ExecEwma {
-    /// Smoothed wall time of a single-job batch, microseconds.
-    single_us: f64,
-    /// Smoothed per-job marginal wall time inside a batch.
-    marginal_us: f64,
-}
-
 /// Counting semaphore capping concurrent scans (per-endpoint queue
 /// weights): waiting is bounded, then typed backpressure.
 struct ScanGate {
@@ -208,37 +180,17 @@ struct ScanGate {
     ready: Condvar,
 }
 
-/// EWMA smoothing factor for the adaptive-window cost model.
-const EWMA_ALPHA: f64 = 0.2;
-/// Smallest hold the batcher will bother sleeping for.
-const MIN_HOLD_US: f64 = 20.0;
 /// How long a scan waits for a permit before 429.
 const SCAN_GATE_WAIT: Duration = Duration::from_millis(10);
 
-fn ewma(prev: f64, sample: f64) -> f64 {
-    if prev == 0.0 {
-        sample
-    } else {
-        (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * sample
-    }
-}
-
-/// Everything the HTTP workers, batcher and writer share.
+/// Everything the HTTP workers and the writer share.
 pub struct SharedState {
     miner: RwLock<HosMiner>,
     /// Bumped under the write lock on every successful mutation;
     /// queries report the version they observed.
     version: AtomicU64,
     draining: AtomicBool,
-    query_queue: BoundedQueue<QueryJob>,
     write_queue: BoundedQueue<WriteJob>,
-    batch_window: Duration,
-    batch_max: usize,
-    /// Adaptive batch windows: hold a non-full window open only while
-    /// the expected marginal wait beats the expected batching gain.
-    batch_adaptive: bool,
-    arrival: Mutex<ArrivalEwma>,
-    exec: Mutex<ExecEwma>,
     scan_gate: ScanGate,
     store: Mutex<StoreSlot>,
     /// Counters for `/stats` and the drain summary.
@@ -247,28 +199,13 @@ pub struct SharedState {
 
 impl SharedState {
     /// Wraps a fitted miner for serving. `scan_permits` caps
-    /// concurrent scans (see [`SharedState::acquire_scan`]);
-    /// `adaptive` selects the adaptive batch-window policy.
-    pub fn new(
-        miner: HosMiner,
-        batch_window: Duration,
-        batch_max: usize,
-        query_queue_cap: usize,
-        write_queue_cap: usize,
-        adaptive: bool,
-        scan_permits: usize,
-    ) -> Arc<SharedState> {
+    /// concurrent scans (see [`SharedState::acquire_scan`]).
+    pub fn new(miner: HosMiner, write_queue_cap: usize, scan_permits: usize) -> Arc<SharedState> {
         Arc::new(SharedState {
             miner: RwLock::new(miner),
             version: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            query_queue: BoundedQueue::new(query_queue_cap),
             write_queue: BoundedQueue::new(write_queue_cap),
-            batch_window,
-            batch_max: batch_max.max(1),
-            batch_adaptive: adaptive,
-            arrival: Mutex::new(ArrivalEwma::default()),
-            exec: Mutex::new(ExecEwma::default()),
             scan_gate: ScanGate {
                 slots: Mutex::new(scan_permits.max(1)),
                 ready: Condvar::new(),
@@ -307,11 +244,10 @@ impl SharedState {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Flips the draining flag and wakes both queue consumers so they
-    /// can finish admitted work and exit.
+    /// Flips the draining flag and wakes the writer (and any waiting
+    /// scan) so admitted work finishes and the writer exits.
     pub fn start_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        self.query_queue.wake_all();
         self.write_queue.wake_all();
         self.scan_gate.ready.notify_all();
     }
@@ -350,26 +286,27 @@ impl SharedState {
         f(&guard, version)
     }
 
-    /// Admits a query request: enqueues its specs and blocks until the
-    /// batcher replies. Returns the observed version and one result
-    /// per spec, in input order.
+    /// Runs a query request on the calling thread: ONE
+    /// [`HosMiner::query_each`] under the read lock. Returns the
+    /// version that lock observed and one result per spec, in input
+    /// order.
     pub fn submit_query(
         &self,
-        specs: Vec<QuerySpec>,
+        specs: &[QuerySpec],
     ) -> Result<(u64, Vec<Result<QueryOutcome, HosError>>), ServeError> {
         if self.is_draining() {
             return Err(ServeError::Draining);
         }
-        let (tx, rx) = mpsc::channel();
-        self.query_queue
-            .push(QueryJob { specs, reply: tx }, "query")
-            .inspect_err(|_| {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            })?;
-        self.note_arrival();
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        rx.recv()
-            .map_err(|_| ServeError::Internal("batcher exited without replying"))
+        let answered = self.with_read(|miner, version| (version, miner.query_each(specs)));
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .specs
+            .fetch_add(specs.len() as u64, Ordering::Relaxed);
+        self.counters
+            .max_batch
+            .fetch_max(specs.len(), Ordering::Relaxed);
+        Ok(answered)
     }
 
     /// Admits a write: enqueues it for the single writer thread and
@@ -390,154 +327,6 @@ impl SharedState {
             })?;
         rx.recv()
             .map_err(|_| ServeError::Internal("writer exited without replying"))
-    }
-
-    /// Records one admission for the arrival-rate EWMA.
-    fn note_arrival(&self) {
-        let mut a = self.arrival.lock().expect("arrival lock poisoned");
-        let now = Instant::now();
-        if let Some(last) = a.last {
-            let gap = now.duration_since(last).as_secs_f64() * 1e6;
-            a.gap_us = ewma(a.gap_us, gap);
-        }
-        a.last = Some(now);
-    }
-
-    /// Records one executed batch for the cost EWMAs.
-    fn note_exec(&self, njobs: usize, elapsed: Duration) {
-        let us = elapsed.as_secs_f64() * 1e6;
-        let mut e = self.exec.lock().expect("exec lock poisoned");
-        e.marginal_us = ewma(e.marginal_us, us / njobs.max(1) as f64);
-        if njobs == 1 {
-            e.single_us = ewma(e.single_us, us);
-        }
-    }
-
-    /// The adaptive-window policy: with `njobs` already holding the
-    /// window open, is one more expected inter-arrival gap of waiting
-    /// cheaper than executing now? Batching gain per coalesced job is
-    /// `single - marginal` (one whole batch execution amortized away);
-    /// the cost is every held job waiting out the expected gap. Cold
-    /// start (no estimates yet) and fixed mode never hold — identical
-    /// to the close-when-dry policy the fixed window uses.
-    fn profitable_hold(&self, njobs: usize, until_deadline: Duration) -> Option<Duration> {
-        if !self.batch_adaptive {
-            return None;
-        }
-        let (single, marginal) = {
-            let e = self.exec.lock().expect("exec lock poisoned");
-            (e.single_us, e.marginal_us)
-        };
-        if single <= 0.0 || marginal <= 0.0 {
-            return None;
-        }
-        let gain = single - marginal;
-        if gain <= 0.0 {
-            return None;
-        }
-        let expected_wait_us = {
-            let a = self.arrival.lock().expect("arrival lock poisoned");
-            if a.gap_us <= 0.0 {
-                return None;
-            }
-            let since_last = a.last.map_or(0.0, |l| l.elapsed().as_secs_f64() * 1e6);
-            (a.gap_us - since_last).max(MIN_HOLD_US)
-        };
-        if njobs as f64 * expected_wait_us > gain {
-            return None;
-        }
-        let hold = Duration::from_micros(expected_wait_us.ceil() as u64).min(until_deadline);
-        (hold > Duration::ZERO).then_some(hold)
-    }
-
-    /// The batcher thread body: collect a window of admitted requests,
-    /// execute them as ONE `query_each` batch under the read lock,
-    /// scatter the results. Exits once draining AND the queue is empty.
-    pub fn batcher_loop(self: &Arc<SharedState>) {
-        loop {
-            // Block until at least one job is admitted (or drain).
-            let mut window: Vec<QueryJob> = Vec::new();
-            {
-                let mut q = self.query_queue.inner.lock().expect("queue poisoned");
-                loop {
-                    if let Some(job) = q.pop_front() {
-                        window.push(job);
-                        break;
-                    }
-                    if self.is_draining() {
-                        return;
-                    }
-                    q = self.query_queue.ready.wait(q).expect("queue poisoned");
-                }
-            }
-            // The window is open: keep admitting until it is full, the
-            // deadline passes, or the queue runs dry. When the queue
-            // is dry, fixed mode closes the window immediately — every
-            // waiting client is blocked on a reply, so sleeping out
-            // the deadline cannot attract more work, only add latency
-            // (on one core it made batched throughput *lower* than
-            // unbatched). Adaptive mode instead asks the cost model
-            // whether one expected inter-arrival gap of extra wait is
-            // cheaper than executing the current window now, and only
-            // then sleeps — bounded by the `batch_window` deadline.
-            // batch_max == 1 degenerates to unbatched execution.
-            let deadline = Instant::now() + self.batch_window;
-            let mut nspecs = window[0].specs.len();
-            'fill: while nspecs < self.batch_max {
-                {
-                    let mut q = self.query_queue.inner.lock().expect("queue poisoned");
-                    while nspecs < self.batch_max {
-                        match q.pop_front() {
-                            Some(job) => {
-                                nspecs += job.specs.len();
-                                window.push(job);
-                            }
-                            None => break,
-                        }
-                    }
-                    if nspecs >= self.batch_max || self.is_draining() {
-                        break 'fill;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break 'fill;
-                    }
-                    let Some(hold) = self.profitable_hold(window.len(), deadline - now) else {
-                        break 'fill;
-                    };
-                    // Queue is dry and the model says waiting pays:
-                    // sleep for one expected arrival (or a wakeup).
-                    let (q2, _timeout) = self
-                        .query_queue
-                        .ready
-                        .wait_timeout(q, hold)
-                        .expect("queue poisoned");
-                    drop(q2);
-                }
-                // Re-enter the drain loop; if nothing arrived the
-                // deadline or the cost model will close the window.
-            }
-            // Execute the whole window as one batch. `version` is read
-            // under the read lock, so it names exactly the state these
-            // answers were computed from.
-            let all: Vec<QuerySpec> = window.iter().flat_map(|j| j.specs.clone()).collect();
-            let started = Instant::now();
-            let (version, mut results) =
-                self.with_read(|miner, version| (version, miner.query_each(&all).into_iter()));
-            self.note_exec(window.len(), started.elapsed());
-            self.counters.batches.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .specs
-                .fetch_add(all.len() as u64, Ordering::Relaxed);
-            self.counters
-                .max_batch
-                .fetch_max(all.len(), Ordering::Relaxed);
-            for job in window {
-                let part: Vec<_> = results.by_ref().take(job.specs.len()).collect();
-                // A receiver that gave up (client gone) is fine.
-                let _ = job.reply.send((version, part));
-            }
-        }
     }
 
     /// The single writer thread body: applies queued mutations one at
@@ -693,52 +482,38 @@ mod tests {
         .unwrap()
     }
 
-    fn spawn_state(batch_max: usize) -> (Arc<SharedState>, Vec<thread::JoinHandle<()>>) {
-        let state = SharedState::new(
-            small_miner(),
-            Duration::from_millis(2),
-            batch_max,
-            64,
-            64,
-            true,
-            1,
-        );
-        let b = {
-            let s = Arc::clone(&state);
-            thread::spawn(move || s.batcher_loop())
-        };
+    fn spawn_state() -> (Arc<SharedState>, thread::JoinHandle<()>) {
+        let state = SharedState::new(small_miner(), 64, 1);
         let w = {
             let s = Arc::clone(&state);
             thread::spawn(move || s.writer_loop())
         };
-        (state, vec![b, w])
+        (state, w)
     }
 
-    fn drain(state: &Arc<SharedState>, handles: Vec<thread::JoinHandle<()>>) {
+    fn drain(state: &Arc<SharedState>, writer: thread::JoinHandle<()>) {
         state.start_drain();
-        for h in handles {
-            h.join().unwrap();
-        }
+        writer.join().unwrap();
     }
 
     #[test]
-    fn batched_queries_match_direct_query_each() {
-        let (state, handles) = spawn_state(64);
+    fn multi_spec_query_matches_solo_query() {
+        let (state, writer) = spawn_state();
         let solo = state.with_read(|m, _| m.query_id(0).unwrap());
         let (version, results) = state
-            .submit_query(vec![QuerySpec::Member(0), QuerySpec::Member(1)])
+            .submit_query(&[QuerySpec::Member(0), QuerySpec::Member(1)])
             .unwrap();
         assert_eq!(version, 0);
         assert_eq!(results.len(), 2);
         let got = results[0].as_ref().unwrap();
         assert_eq!(got.outlying, solo.outlying);
         assert_eq!(got.minimal, solo.minimal);
-        drain(&state, handles);
+        drain(&state, writer);
     }
 
     #[test]
     fn writes_bump_version_and_queries_observe_it() {
-        let (state, handles) = spawn_state(64);
+        let (state, writer) = spawn_state();
         let (v1, res) = state
             .submit_write(WriteOp::Insert(vec![100.0, 100.0, 100.0]))
             .unwrap();
@@ -747,7 +522,7 @@ mod tests {
             WriteOk::Inserted(id) => id,
             other => panic!("expected insert, got {other:?}"),
         };
-        let (v2, results) = state.submit_query(vec![QuerySpec::Member(id)]).unwrap();
+        let (v2, results) = state.submit_query(&[QuerySpec::Member(id)]).unwrap();
         assert_eq!(v2, 1);
         assert!(results[0].is_ok());
         let (v3, res) = state.submit_write(WriteOp::Retire(id)).unwrap();
@@ -757,58 +532,56 @@ mod tests {
         let (v4, res) = state.submit_write(WriteOp::Retire(id)).unwrap();
         assert_eq!(v4, 2);
         assert!(res.is_err());
-        drain(&state, handles);
+        drain(&state, writer);
     }
 
     #[test]
     fn draining_refuses_new_work_but_serves_admitted() {
-        let (state, handles) = spawn_state(64);
+        let (state, writer) = spawn_state();
         state.start_drain();
         assert!(matches!(
-            state.submit_query(vec![QuerySpec::Member(0)]),
+            state.submit_query(&[QuerySpec::Member(0)]),
             Err(ServeError::Draining)
         ));
         assert!(matches!(
             state.submit_write(WriteOp::Retire(0)),
             Err(ServeError::Draining)
         ));
-        for h in handles {
-            h.join().unwrap();
-        }
+        writer.join().unwrap();
     }
 
     #[test]
-    fn full_query_queue_is_backpressure_not_blocking() {
-        // No batcher thread running: the queue only fills.
-        let state = SharedState::new(small_miner(), Duration::from_millis(1), 8, 2, 2, true, 1);
+    fn full_write_queue_is_backpressure_not_blocking() {
+        // No writer thread running: the queue only fills.
+        let state = SharedState::new(small_miner(), 2, 1);
         let (tx, _rx) = mpsc::channel();
         for _ in 0..2 {
             state
-                .query_queue
+                .write_queue
                 .push(
-                    QueryJob {
-                        specs: vec![QuerySpec::Member(0)],
+                    WriteJob {
+                        op: WriteOp::Retire(0),
                         reply: tx.clone(),
                     },
-                    "query",
+                    "write",
                 )
                 .unwrap();
         }
         assert!(matches!(
-            state.submit_query(vec![QuerySpec::Member(0)]),
-            Err(ServeError::Backpressure("query"))
+            state.submit_write(WriteOp::Retire(1)),
+            Err(ServeError::Backpressure("write"))
         ));
         assert_eq!(state.counters.rejected.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn concurrent_submitters_all_get_answers() {
-        let (state, handles) = spawn_state(16);
+        let (state, writer) = spawn_state();
         let mut joins = Vec::new();
         for i in 0..8 {
             let s = Arc::clone(&state);
             joins.push(thread::spawn(move || {
-                let (_, results) = s.submit_query(vec![QuerySpec::Member(i % 4)]).unwrap();
+                let (_, results) = s.submit_query(&[QuerySpec::Member(i % 4)]).unwrap();
                 assert_eq!(results.len(), 1);
                 assert!(results[0].is_ok());
             }));
@@ -816,16 +589,16 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
-        let batches = state.counters.batches.load(Ordering::Relaxed);
-        let specs = state.counters.specs.load(Ordering::Relaxed);
-        assert_eq!(specs, 8);
-        assert!((1..=8).contains(&batches));
-        drain(&state, handles);
+        let c = &state.counters;
+        assert_eq!(c.specs.load(Ordering::Relaxed), 8);
+        assert_eq!(c.batches.load(Ordering::Relaxed), 8);
+        assert_eq!(c.max_batch.load(Ordering::Relaxed), 1);
+        drain(&state, writer);
     }
 
     #[test]
     fn scan_gate_bounds_concurrency_then_backpressures() {
-        let state = SharedState::new(small_miner(), Duration::from_millis(1), 8, 8, 8, true, 1);
+        let state = SharedState::new(small_miner(), 8, 1);
         let permit = state.acquire_scan().unwrap();
         // The single slot is held: a second acquire waits out the
         // bounded gate and comes back as typed backpressure.
@@ -844,71 +617,5 @@ mod tests {
         state.start_drain();
         assert!(matches!(state.acquire_scan(), Err(ServeError::Draining)));
         drop(held);
-    }
-
-    #[test]
-    fn adaptive_policy_holds_only_when_the_model_says_it_pays() {
-        let state = SharedState::new(small_miner(), Duration::from_millis(2), 8, 8, 8, true, 1);
-        let budget = Duration::from_millis(2);
-        // Cold start: no estimates, never hold (same as fixed mode).
-        assert!(state.profitable_hold(1, budget).is_none());
-        // Teach the model: single-job batches cost ~500us, marginal
-        // ~50us, arrivals every ~100us → holding 1 job for ~100us
-        // saves ~450us. Profitable.
-        {
-            let mut e = state.exec.lock().unwrap();
-            e.single_us = 500.0;
-            e.marginal_us = 50.0;
-            let mut a = state.arrival.lock().unwrap();
-            a.gap_us = 100.0;
-            a.last = Some(Instant::now());
-        }
-        let hold = state.profitable_hold(1, budget).expect("should hold");
-        assert!(hold <= budget);
-        // 20 jobs already waiting: 20 x 100us of added latency beats
-        // the 450us gain — close the window instead.
-        assert!(state.profitable_hold(20, budget).is_none());
-        // Arrivals slower than the gain: never hold.
-        {
-            let mut a = state.arrival.lock().unwrap();
-            a.gap_us = 10_000.0;
-            a.last = Some(Instant::now());
-        }
-        assert!(state.profitable_hold(1, budget).is_none());
-        // Fixed mode ignores the model entirely.
-        let fixed = SharedState::new(small_miner(), Duration::from_millis(2), 8, 8, 8, false, 1);
-        {
-            let mut e = fixed.exec.lock().unwrap();
-            e.single_us = 500.0;
-            e.marginal_us = 50.0;
-            let mut a = fixed.arrival.lock().unwrap();
-            a.gap_us = 100.0;
-            a.last = Some(Instant::now());
-        }
-        assert!(fixed.profitable_hold(1, budget).is_none());
-    }
-
-    #[test]
-    fn adaptive_batcher_still_answers_everything_under_load() {
-        let (state, handles) = spawn_state(16);
-        // Warm the cost model with sequential singles, then hammer.
-        for _ in 0..4 {
-            let (_, r) = state.submit_query(vec![QuerySpec::Member(0)]).unwrap();
-            assert!(r[0].is_ok());
-        }
-        let mut joins = Vec::new();
-        for i in 0..16 {
-            let s = Arc::clone(&state);
-            joins.push(thread::spawn(move || {
-                let (_, results) = s.submit_query(vec![QuerySpec::Member(i % 4)]).unwrap();
-                assert_eq!(results.len(), 1);
-                assert!(results[0].is_ok());
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        assert_eq!(state.counters.specs.load(Ordering::Relaxed), 20);
-        drain(&state, handles);
     }
 }

@@ -5,7 +5,6 @@ use hos_core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::Subspace;
 use hos_serve::{Json, ServeConfig, Server};
-use std::time::Duration;
 use tinyhttp::client_request;
 
 fn fitted_miner() -> HosMiner {
@@ -40,8 +39,6 @@ fn start() -> Server {
         fitted_miner(),
         &ServeConfig {
             workers: 2,
-            batch_window: Duration::from_millis(1),
-            batch_max: 16,
             ..ServeConfig::default()
         },
     )
@@ -196,16 +193,14 @@ fn every_endpoint_round_trips() {
 }
 
 #[test]
-fn unbatched_mode_still_answers() {
-    // batch_max == 1 degenerates to unbatched execution; answers are
-    // identical (the oracle test pins bit-identity, this pins
-    // liveness of the degenerate path).
+fn one_query_request_is_one_batch() {
+    // Each query request runs exactly one `query_each`: `batches`
+    // counts requests and `max_batch` is the largest request's spec
+    // count, on /stats and in the drain report alike.
     let server = Server::start(
         fitted_miner(),
         &ServeConfig {
             workers: 1,
-            batch_window: Duration::from_millis(0),
-            batch_max: 1,
             ..ServeConfig::default()
         },
     )
@@ -213,16 +208,37 @@ fn unbatched_mode_still_answers() {
     let (status, body) =
         client_request(server.addr(), "POST", "/query", br#"{"ids":[0,1,2]}"#).unwrap();
     assert_eq!(status, 200);
-    let v = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
-    assert_eq!(v.get("results").unwrap().as_array().unwrap().len(), 3);
+    let results = json(&body);
+    assert_eq!(results.get("results").unwrap().as_array().unwrap().len(), 3);
+    let (status, body) = client_request(server.addr(), "GET", "/stats", b"").unwrap();
+    assert_eq!(status, 200);
+    let stats = json(&body);
+    assert_eq!(stats.get("specs").unwrap().as_usize(), Some(3));
+    assert_eq!(stats.get("batches").unwrap().as_usize(), Some(1));
+    assert_eq!(stats.get("max_batch").unwrap().as_usize(), Some(3));
     let report = server.join();
     assert_eq!(report.specs, 3);
-    server_report_sane(&report);
+    assert_eq!(report.batches, 1);
+    assert_eq!(report.max_batch, 3);
+    assert_eq!(report.rejected, 0);
 }
 
-fn server_report_sane(report: &hos_serve::ServeReport) {
-    assert_eq!(report.rejected, 0);
-    assert!(report.batches >= 1);
+/// A mistyped or removed flag is an error, never silently ignored.
+#[test]
+fn unknown_flags_fail_the_binary() {
+    for bad in ["--wokers", "--batch-max"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hos-serve"))
+            .args(["--n", "300", "--d", "4", bad, "2", "--addr", "127.0.0.1:0"])
+            .output()
+            .expect("run hos-serve");
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("hos-serve: unknown flag {bad}")),
+            "{bad}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bad} must fail before listening");
+    }
 }
 
 /// Satellite smoke for the approximate tier: the hos-serve BINARY
