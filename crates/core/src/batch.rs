@@ -8,7 +8,8 @@
 //! is deterministic, the fan-out is **bit-reproducible**: results (and
 //! all `SearchStats` evaluation accounting except wall-clock time) are
 //! identical to running the queries serially, regardless of thread
-//! count. The `batch_search_deterministic` integration test pins this.
+//! count. The `batch_search_deterministic_across_thread_counts`
+//! integration test pins this.
 //!
 //! Each worker evaluates its queries with per-level parallelism off
 //! (`threads = 1` inside `dynamic_search`): with many queries in
@@ -18,7 +19,7 @@
 use crate::priors::Priors;
 use crate::search::{dynamic_search, SearchOutcome};
 use hos_data::PointId;
-use hos_index::batch::parallel_map;
+use hos_index::pool::parallel_map;
 use hos_index::KnnEngine;
 
 /// One query in a batch: the point and, when it is a dataset member,

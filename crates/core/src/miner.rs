@@ -5,13 +5,12 @@
 //! learning — and `query_*` runs the dynamic subspace search followed
 //! by the refinement filter.
 
-use crate::batch::{batch_search, BatchQuery};
 use crate::error::HosError;
 use crate::filter::minimal_subspaces;
 use crate::learning::LearnedModel;
 use crate::od::ThresholdPolicy;
 use crate::search::{dynamic_search, ScoredSubspace, SearchOutcome, SearchStats};
-use crate::Result;
+use crate::{batch_search, BatchQuery, Result};
 use hos_data::{Dataset, Metric, PointId, Subspace};
 use hos_index::{build_engine_sharded, Engine, IndexError, KnnEngine};
 
@@ -797,7 +796,8 @@ mod tests {
     /// `query_ids` walks every level of a batched query on one thread.
     /// Answers and evaluation counters agree at every thread count —
     /// `nodes_visited` alone may not (see its field doc), so it is
-    /// deliberately left out of the comparison.
+    /// left out of that comparison; at one thread count it must still
+    /// repeat exactly from run to run.
     #[test]
     fn search_results_are_thread_count_independent_except_nodes_visited() {
         let w = generate(&PlantedSpec {
@@ -849,6 +849,22 @@ mod tests {
                 let solo = miner.query_id(id).unwrap();
                 same(id, want, &solo, &format!("query_id threads={threads}"));
             }
+        }
+        // `nodes_visited` may differ between thread counts, but at one
+        // thread count it must not depend on which runner claimed which
+        // walk-order chunk.
+        for threads in [2, 4] {
+            miner.set_threads(threads);
+            let mut walked = 0;
+            for &id in &ids {
+                let first = miner.query_id(id).unwrap().stats.nodes_visited;
+                walked += first;
+                for run in 1..5 {
+                    let again = miner.query_id(id).unwrap().stats.nodes_visited;
+                    assert_eq!(again, first, "threads={threads} point {id} run {run}");
+                }
+            }
+            assert!(walked > 0, "threads={threads}: no query reached the walker");
         }
     }
 

@@ -20,7 +20,7 @@ use crate::error::HosError;
 use crate::Result;
 use hos_data::stats;
 use hos_data::{Metric, Subspace};
-use hos_index::batch::parallel_map_claimed;
+use hos_index::pool::{parallel_map, pool_size};
 use hos_index::KnnEngine;
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -128,8 +128,9 @@ impl ThresholdPolicy {
                 let mut rng = StdRng::seed_from_u64(seed);
                 ids.shuffle(&mut rng);
                 ids.truncate(sample);
-                let ods =
-                    parallel_map_claimed(&ids, |&id| engine.od(ds.row(id), k, full, Some(id)));
+                let ods = parallel_map(&ids, pool_size(), |&id| {
+                    engine.od(ds.row(id), k, full, Some(id))
+                });
                 let t = stats::quantile(&ods, q)?;
                 if t <= 0.0 {
                     return Err(HosError::Config(

@@ -64,7 +64,9 @@ pub struct SearchStats {
     /// Unlike the other counters this depends on the per-level thread
     /// count: a level split across threads is walked in contiguous
     /// chunks, each on a fresh prefix stack, so the number of folds
-    /// shifts with the chunk boundaries.
+    /// shifts with the chunk boundaries. The boundaries depend only on
+    /// the thread count, not on which thread claims a chunk, so
+    /// repeated runs at one thread count report the same value.
     /// Answers and every other counter are thread-count independent.
     pub nodes_visited: u64,
     /// Search rounds (levels evaluated).

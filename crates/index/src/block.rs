@@ -30,7 +30,7 @@
 //! Queries are independent, so both modes split the live ids into
 //! contiguous slices — [`SLICES_PER_WORKER`] per [`crate::pool`]
 //! worker — that the calling thread and the pool workers claim one at
-//! a time ([`crate::batch::parallel_map_claimed`]). Each slice owns its
+//! a time ([`crate::pool::parallel_map`]). Each slice owns its
 //! bound row (or accumulator block), its [`TopK`] and its counters;
 //! the shared inputs (column-major copies, tombstone list) are built
 //! once and only read. Per-slice `ods` are concatenated in slice order
@@ -68,9 +68,8 @@
 //! (quantized-bound rejects); they always satisfy
 //! `distance_evals + filtered == live * (live - 1)`.
 
-use crate::batch::parallel_map_claimed;
 use crate::error::IndexError;
-use crate::pool::pool_size;
+use crate::pool::{parallel_map, pool_size};
 use crate::topk::TopK;
 use hos_data::{Dataset, Metric, PointId, QuantizedColumns};
 
@@ -210,8 +209,7 @@ where
     F: Fn(&[PointId]) -> BlockedScan + Sync,
 {
     let slice_len = live.len().div_ceil(SLICES_PER_WORKER * pool_size());
-    let slices: Vec<&[PointId]> = live.chunks(slice_len).collect();
-    let parts = parallel_map_claimed(&slices, |slice| scan(slice));
+    let parts = parallel_map(live.chunks(slice_len), pool_size(), scan);
     let mut out = BlockedScan {
         ods: Vec::with_capacity(live.len()),
         distance_evals: 0,

@@ -26,6 +26,14 @@
 //! an evaluator that fans every OD over data shards with one
 //! `QueryContext` **per shard** and merges exact per-shard top-k lists.
 //!
+//! Parallel batches go through [`crate::pool::parallel_map`], where the
+//! caller and the pool workers claim items one at a time. On the cached
+//! path the items are contiguous walk-order chunks, one per requested
+//! thread, each walked on its own [`PrefixStack`]: the chunk boundaries
+//! depend only on the batch and `threads`, never on which runner claims
+//! a chunk, so [`OdEvaluator::node_visits`] repeats exactly from run to
+//! run at a given thread count.
+//!
 //! Exactness: evaluator results are bit-identical to calling
 //! [`KnnEngine::od`] per subspace — the lazy cache is pinned by the
 //! context equivalence tests, and the evaluator-path equivalence tests
@@ -33,9 +41,9 @@
 //!
 //! [`QueryContext`]: crate::context::QueryContext
 
-use crate::batch::parallel_map;
 use crate::context::QueryContext;
 use crate::knn::KnnEngine;
+use crate::pool::parallel_map;
 use crate::walker::{walk_order, PrefixStack};
 use hos_data::{PointId, Subspace};
 
@@ -169,12 +177,11 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
                     }
                 } else {
                     // Contiguous walk-order chunks, one throwaway
-                    // stack per worker: prefix sharing within each
+                    // stack per chunk: prefix sharing within each
                     // chunk, allocation only on this (wide-batch)
                     // path.
                     let chunk = self.order.len().div_ceil(threads);
-                    let chunks: Vec<&[usize]> = self.order.chunks(chunk).collect();
-                    let results = parallel_map(&chunks, threads, |&idx| {
+                    let results = parallel_map(self.order.chunks(chunk), threads, |idx| {
                         let mut stack = PrefixStack::new();
                         let ods: Vec<(usize, f64)> = idx
                             .iter()

@@ -58,7 +58,7 @@ use graph::Graph;
 use hos_data::{Dataset, Metric, PointId, Subspace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 
-use crate::batch::parallel_map;
+use crate::pool::parallel_map;
 
 /// Default candidate-pool width (`ef_search`): wide enough that the
 /// seeded oracle workloads measure recall@k well above the 0.95

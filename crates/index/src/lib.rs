@@ -46,14 +46,13 @@
 //! * [`sharded`] — exact intra-query parallelism: [`ShardedEngine`]
 //!   fans each query over contiguous data shards and merges per-shard
 //!   top-k lists losslessly (bit-identical ODs).
-//! * [`batch`] — order-preserving `parallel_map` fan-out over the
-//!   worker pool, shared by every parallel region.
-//! * [`pool`] — the persistent worker pool behind every parallel
-//!   region: threads spawn once per process and are reused across
-//!   calls (and shared between the CLI and `hos-serve`), so parallel
-//!   batches pay queue hand-off instead of thread spawn + join.
+//! * [`pool`] — the persistent worker pool and [`pool::parallel_map`],
+//!   the one order-preserving fan-out every parallel region uses: the
+//!   caller and the pool workers claim items one at a time. Threads
+//!   spawn once per process and are reused across calls (and shared
+//!   between the CLI and `hos-serve`), so parallel batches pay queue
+//!   hand-off instead of thread spawn + join.
 
-pub mod batch;
 pub mod block;
 pub mod context;
 pub mod error;

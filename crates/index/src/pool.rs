@@ -1,18 +1,33 @@
-//! Process-lifetime worker pool behind [`crate::batch::parallel_map`].
+//! Process-lifetime worker pool and the one fan-out primitive on it,
+//! [`parallel_map`].
 //!
-//! Before this module existed, every `parallel_map` call spawned fresh
+//! Before this module existed, every parallel region spawned fresh
 //! scoped threads — fine for one-shot CLI runs, but a
-//! resident server paying a thread spawn + join per admission batch
+//! resident server paying a thread spawn + join per request
 //! wastes latency on the hottest path. The pool spawns its workers
 //! once (lazily, on first parallel call) and keeps them parked on a
 //! condvar; a parallel region just pushes closures onto the shared
 //! queue and blocks until its completion latch opens.
 //!
+//! ## One scheduling policy
+//!
+//! Every parallel region in the workspace goes through
+//! [`parallel_map`]: the calling thread and up to `threads - 1` pool
+//! workers (never more runners than the pool has workers, or than there
+//! are items) claim items one at a time until none remain, and results
+//! come back in input order. A preempted or slow thread simply claims
+//! fewer items, so nothing waits on a static split's slowest chunk.
+//! Callers whose work carries per-chunk state (a prefix stack, a
+//! selection heap) cut their own chunks and pass the chunks as items;
+//! the chunking depends only on the caller's inputs, never on which
+//! thread claims what, so every result and counter is the same on
+//! every run.
+//!
 //! ## Scoped execution over 'static workers
 //!
 //! Pool workers are ordinary detached threads, so the jobs they run
 //! must be `'static` — but `parallel_map` closures borrow the caller's
-//! stack (the input slice, the output slice, the mapping function).
+//! stack (the items, the result slots, the mapping function).
 //! [`run_scoped`] bridges the gap the same way rayon and crossbeam do
 //! internally: it transmutes the job's lifetime away **and blocks the
 //! caller on a latch until every job has finished running** (even when
@@ -36,7 +51,9 @@
 //! the latch still counts down, and the *caller* of the parallel
 //! region re-raises the first captured payload once all jobs are done
 //! — observable behaviour identical to the scoped-thread code this
-//! replaces.
+//! replaces. [`parallel_map`] holds its claim lock only to take the
+//! next item, never while `f` runs, so a panicking item leaves the
+//! other runners free to finish theirs.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -69,9 +86,8 @@ pub fn in_worker() -> bool {
 }
 
 /// The process-wide pool, spawning its workers on first use. Worker
-/// count is the machine's available parallelism; callers may still
-/// request more chunks than workers — excess jobs queue and the
-/// results are identical either way.
+/// count is the machine's available parallelism, which also caps the
+/// runners of one [`parallel_map`] call.
 pub fn pool() -> &'static WorkerPool {
     POOL.get_or_init(|| {
         let workers = std::thread::available_parallelism()
@@ -92,8 +108,8 @@ pub fn pool() -> &'static WorkerPool {
     })
 }
 
-/// Number of worker threads the pool runs (callers' `threads` argument
-/// above this just queues — still correct, no extra concurrency).
+/// Number of worker threads the pool runs: a [`parallel_map`] asking
+/// for more `threads` than this runs on this many.
 pub fn pool_size() -> usize {
     pool().workers
 }
@@ -220,6 +236,57 @@ pub fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
     }
 }
 
+/// Applies `f` to every item, returning the results in input order.
+///
+/// The calling thread and up to `min(threads, pool_size(), len) - 1`
+/// pool workers each claim the next unclaimed item until none remain.
+/// `items` is anything whose iterator knows its length and may cross
+/// threads: `&[T]`, `&mut [T]` (each item mutated by exactly one
+/// runner), `Vec<&T>`, ranges, `chunks(..)`. Each result is `f` of its
+/// own item, so results are **bit-identical** to the serial loop for
+/// any `threads`. With at most one runner, or from inside a pool
+/// worker ([`in_worker`]), it *is* that serial loop.
+///
+/// If `f` panics, the panicking runner stops, the others finish the
+/// remaining items, and the payload is re-raised here once every
+/// runner has stopped.
+pub fn parallel_map<I, R, F>(items: I, threads: usize, f: F) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let items = items.into_iter();
+    let len = items.len();
+    let runners = threads.min(pool_size()).min(len);
+    if runners <= 1 || in_worker() {
+        return items.map(f).collect();
+    }
+    let claim = Mutex::new(items.enumerate());
+    let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    let run = || loop {
+        // The guard drops at the end of this statement: `f` runs
+        // unlocked, so a panicking item cannot poison the claim lock.
+        let claimed = claim.lock().expect("claim lock poisoned").next();
+        let Some((i, item)) = claimed else { break };
+        *slots[i].lock().expect("slot poisoned") = Some(f(item));
+    };
+    run_scoped(
+        (0..runners)
+            .map(|_| Box::new(&run) as Box<dyn FnOnce() + Send + '_>)
+            .collect(),
+    );
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("slot poisoned")
+                .expect("every item claimed")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,6 +393,97 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// Runs `f` on a pool worker: a two-task region keeps its first
+    /// task on the caller and queues the second for the pool.
+    fn in_pool_worker<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        let mut out = None;
+        {
+            let slot = &mut out;
+            run_scoped(vec![
+                Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>,
+                Box::new(move || {
+                    assert!(in_worker(), "second task must run on a pool worker");
+                    *slot = Some(f());
+                }),
+            ]);
+        }
+        out.expect("the worker task ran")
+    }
+
+    #[test]
+    fn parallel_map_covers_every_item_once_in_input_order() {
+        // Shared items, any thread count.
+        let items: Vec<u64> = (0..257).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        for threads in [0, 1, 2, 7, 64, 1000] {
+            assert_eq!(
+                parallel_map(&items, threads, |&x| x * 3 + 1),
+                expected,
+                "threads={threads}"
+            );
+        }
+        // Mutable items: four rounds, each item bumped exactly once a
+        // round.
+        let mut lanes: Vec<u64> = (0..53).collect();
+        for threads in [0, 1, 3, 64] {
+            let out = parallel_map(&mut lanes, threads, |x| {
+                *x += 1;
+                *x * 2
+            });
+            let want: Vec<u64> = lanes.iter().map(|&x| x * 2).collect();
+            assert_eq!(out, want, "threads={threads}");
+        }
+        assert_eq!(lanes, (4..57).collect::<Vec<u64>>());
+        // A range, empty input and a single item.
+        assert_eq!(
+            parallel_map(0..101usize, 4, |i| i * i),
+            (0..101usize).map(|i| i * i).collect::<Vec<_>>()
+        );
+        assert!(parallel_map(&[] as &[u64], 4, |&x| x).is_empty());
+        assert!(parallel_map(&mut [] as &mut [u64], 4, |x| *x).is_empty());
+        assert_eq!(parallel_map(&items[..1], 4, |&x| x + 7), vec![7]);
+        // From inside a pool worker: the serial path, same outputs.
+        let nested = in_pool_worker(|| parallel_map(&items, 64, |&x| x * 3 + 1));
+        assert_eq!(nested, expected);
+    }
+
+    #[test]
+    fn parallel_map_reraises_a_panic_after_every_runner_stops() {
+        for bad in [0usize, 37, 63] {
+            let (running, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                parallel_map(0..64usize, 64, |i| {
+                    if i == bad {
+                        panic!("item {i} exploded");
+                    }
+                    running.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i
+                })
+            }));
+            let payload = result.expect_err("panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or("<non-String payload>");
+            assert_eq!(msg, format!("item {bad} exploded"));
+            // Re-raised only once no runner is inside `f`, and (with a
+            // second runner) after the others finished every other
+            // item; the serial loop stops at the panic.
+            let others = if pool_size() > 1 { 63 } else { bad };
+            assert_eq!(running.load(Ordering::SeqCst), 0, "bad={bad}");
+            assert_eq!(finished.load(Ordering::SeqCst), others, "bad={bad}");
+            // The claim lock was not poisoned: the pool still serves a
+            // later parallel region.
+            assert_eq!(
+                parallel_map(0..64usize, 64, |i| i + 1),
+                (1..65).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`ShardedEngine`] splits the dataset into `s` contiguous row shards
 //! ([`Dataset::shard`], global [`PointId`]s preserved), builds one
 //! sub-engine per shard, fans every query over the shards with
-//! [`crate::batch::parallel_map`], and merges the per-shard top-k
+//! [`crate::pool::parallel_map`], and merges the per-shard top-k
 //! lists exactly.
 //!
 //! # Why the merge is lossless
@@ -37,12 +37,17 @@
 //! batches parallelise across subspaces; small batches parallelise
 //! across shards — so a single full-space OD query also uses every
 //! core, which is precisely what the unsharded engine cannot do.
+//! Cached batches run one lane per shard (its persistent
+//! [`PrefixStack`]); with more threads than shards each walk block is
+//! cut into per-shard segments on throwaway stacks. Either way the
+//! lanes or segments are fixed by the shard count and `threads` before
+//! the runners claim them, so node-visit counts repeat exactly.
 
-use crate::batch::{parallel_map, parallel_map_mut};
 use crate::context::QueryContext;
 use crate::error::{validate_insert, validate_remove, IndexError};
 use crate::evaluator::OdEvaluator;
 use crate::knn::{build_engine, Engine, IncrementalEngine, KnnEngine, Neighbor};
+use crate::pool::parallel_map;
 use crate::topk::TopK;
 use crate::walker::{walk_order, PrefixStack};
 use hos_data::{Dataset, Metric, PointId, Subspace};
@@ -347,12 +352,11 @@ impl ShardedOdEvaluator<'_> {
         if self.ctx_pending && self.dims_evaluated > 2 * self.d {
             // The builds are the biggest one-time cost on this path
             // (together one full n x d pass): fan them over the shards
-            // like every query. (Mapped over `&'a Shard` refs so the
-            // returned contexts keep the evaluator's lifetime rather
-            // than the worker closure's.)
+            // like every query. (`self.shards.iter()` yields
+            // `&'a Shard`, so the returned contexts keep the
+            // evaluator's lifetime rather than the worker closure's.)
             let query = self.query;
-            let shard_refs: Vec<&Shard> = self.shards.iter().collect();
-            self.ctxs = Some(parallel_map(&shard_refs, self.shard_threads, |sh| {
+            self.ctxs = Some(parallel_map(self.shards.iter(), self.shard_threads, |sh| {
                 sh.engine.query_context(query)
             }));
             self.ctx_pending = false;
@@ -363,8 +367,7 @@ impl ShardedOdEvaluator<'_> {
     /// sum in ascending `(distance, id)` order — the unsharded
     /// summation order. `threads` bounds the shard fan-out.
     fn od_merged(&self, s: Subspace, threads: usize) -> f64 {
-        let indices: Vec<usize> = (0..self.shards.len()).collect();
-        let lists = parallel_map(&indices, threads, |&i| {
+        let lists = parallel_map(0..self.shards.len(), threads, |i| {
             let ctx = self.ctxs.as_ref().and_then(|c| c[i].as_ref());
             self.shards[i].topk(ctx, self.query, self.k, s, self.exclude)
         });
@@ -486,7 +489,7 @@ impl ShardedOdEvaluator<'_> {
             let block = &self.order[block_start..(block_start + block_len).min(self.order.len())];
             // Per-shard lists for this block, slot `s * block.len() + p`.
             let per_shard: Vec<Vec<Neighbor>> = if subsplit <= 1 {
-                let rows = parallel_map_mut(&mut lanes, width, |(shard, ctx, stack)| {
+                let rows = parallel_map(&mut lanes, width, |(shard, ctx, stack)| {
                     block
                         .iter()
                         .map(|&i| {
@@ -500,14 +503,11 @@ impl ShardedOdEvaluator<'_> {
                 // throwaway stacks — allocation returns exactly where
                 // extra threads were requested.
                 let seg = block.len().div_ceil(subsplit).max(1);
-                let mut tasks: Vec<(usize, usize)> = Vec::new();
-                for s in 0..nshards {
-                    for (j, _) in block.chunks(seg).enumerate() {
-                        tasks.push((s, j));
-                    }
-                }
+                let segs = block.len().div_ceil(seg);
                 let shards = self.shards;
-                let results = parallel_map(&tasks, width, |&(s, j)| {
+                // Task `t` is sub-segment `t % segs` of shard `t / segs`.
+                let results = parallel_map(0..nshards * segs, width, |t| {
+                    let (s, j) = (t / segs, t % segs);
                     let shard = &shards[s];
                     let ctx = ctxs[s].as_ref();
                     let mut stack = PrefixStack::new();
