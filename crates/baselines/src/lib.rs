@@ -20,6 +20,10 @@
 //!   paper's named "space → outliers" contrast).
 //! * [`loci`] — LOCI, the Local Correlation Integral detector
 //!   (reference \[7\]).
+//! * [`vafile`] — the VA-file (Weber, Schek, Blott, VLDB'98), the
+//!   scan-based index philosophy experiment E7 sets against the
+//!   X-tree: a fit-once exact k-NN engine, not one of the
+//!   `hos_index::Engine` choices.
 
 pub mod db_outlier;
 pub mod evolutionary;
@@ -28,6 +32,8 @@ pub mod intensional;
 pub mod knn_outlier;
 pub mod loci;
 pub mod lof;
+pub mod vafile;
 
 pub use evolutionary::{evolutionary_search, EvoConfig, SparseCube};
 pub use exhaustive::{exhaustive_search, ExhaustiveMode};
+pub use vafile::{VaFile, VaFileConfig};

@@ -1,4 +1,5 @@
-//! VA-file (Vector Approximation file; Weber, Schek, Blott — VLDB'98).
+//! VA-file (Vector Approximation file; Weber, Schek, Blott — VLDB'98),
+//! the scan-based comparator experiment E7 sets against the X-tree.
 //!
 //! The canonical alternative to hierarchical indexes in high
 //! dimensionality: instead of a tree, store a compact quantised
@@ -18,11 +19,16 @@
 //! expensive full-precision reads are the `distance_evals` the
 //! experiments count. Subspace queries come for free: bounds are
 //! accumulated only over the masked dimensions.
+//!
+//! It is a fit-once engine: it implements [`KnnEngine`] (so E7 can
+//! drive it through the same trait as the X-tree and the linear scan)
+//! but not incremental mutation, and it is not one of the
+//! [`hos_index::Engine`] choices. Results are exact and ordered by
+//! `(distance, id)`, like every `hos-index` engine.
 
-use crate::error::{validate_insert, validate_remove, IndexError};
-use crate::knn::{IncrementalEngine, KnnEngine, Neighbor};
-use crate::topk::TopK;
 use hos_data::{Dataset, Metric, PointId, Subspace};
+use hos_index::{KnnEngine, Neighbor};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// VA-file construction parameters.
@@ -49,11 +55,6 @@ pub struct VaFile {
     approx: Vec<u8>,
     cells: usize,
     evals: AtomicU64,
-    /// Removals since the marks were last rebuilt. Removals never
-    /// shrink marks in place, so after enough churn the cells are much
-    /// wider than the live value range and the filter degrades;
-    /// [`VaFile::requantise`] resets this.
-    stale_removals: usize,
 }
 
 impl VaFile {
@@ -66,36 +67,11 @@ impl VaFile {
     /// Panics if `bits` is outside `1..=8`.
     pub fn build(dataset: Dataset, metric: Metric, cfg: VaFileConfig) -> Self {
         assert!((1..=8).contains(&cfg.bits), "bits must be in 1..=8");
-        let mut va = VaFile {
-            dataset,
-            metric,
-            marks: Vec::new(),
-            approx: Vec::new(),
-            cells: 1usize << cfg.bits,
-            evals: AtomicU64::new(0),
-            stale_removals: 0,
-        };
-        va.requantise();
-        va
-    }
-
-    /// Number of quantisation cells per dimension.
-    pub fn cells(&self) -> usize {
-        self.cells
-    }
-
-    /// Rebuilds the marks (equi-width over the **live** value range)
-    /// and requantises every physical row. Used when an insert fixes
-    /// the dimensionality of an engine built over an empty dataset;
-    /// also safe to call any time the incremental mark-widening has
-    /// degraded the filter (exactness never depends on the marks, only
-    /// filter selectivity does).
-    fn requantise(&mut self) {
-        let d = self.dataset.dim();
-        let cells = self.cells;
-        self.marks = (0..d)
+        let cells = 1usize << cfg.bits;
+        let d = dataset.dim();
+        let marks: Vec<Vec<f64>> = (0..d)
             .map(|c| {
-                let col: Vec<f64> = self.dataset.iter().map(|(_, row)| row[c]).collect();
+                let col: Vec<f64> = dataset.iter().map(|(_, row)| row[c]).collect();
                 let (lo, hi) = hos_data::stats::min_max(&col).unwrap_or((0.0, 1.0));
                 let span = (hi - lo).max(f64::MIN_POSITIVE);
                 let mut m: Vec<f64> = (0..=cells)
@@ -106,17 +82,26 @@ impl VaFile {
                 m
             })
             .collect();
-        self.approx = vec![0u8; self.dataset.len() * d];
-        for i in 0..self.dataset.len() {
-            // Tombstoned rows are quantised too (their slots must stay
-            // aligned) but may clamp outside the live range — harmless,
-            // they are skipped by every query.
-            let row = self.dataset.row(i);
-            for (c, &v) in row.iter().enumerate() {
-                self.approx[i * d + c] = cell_of(&self.marks[c], v, cells) as u8;
-            }
+        // Tombstoned rows are quantised too (their slots must stay
+        // aligned) but may clamp outside the live range — harmless,
+        // they are skipped by every query.
+        let approx = (0..dataset.len())
+            .flat_map(|i| dataset.row(i).iter().enumerate())
+            .map(|(c, &v)| cell_of(&marks[c], v, cells) as u8)
+            .collect();
+        VaFile {
+            dataset,
+            metric,
+            marks,
+            approx,
+            cells,
+            evals: AtomicU64::new(0),
         }
-        self.stale_removals = 0;
+    }
+
+    /// Number of quantisation cells per dimension.
+    pub fn cells(&self) -> usize {
+        self.cells
     }
 
     /// Lower and upper pre-metric distance bounds between `query` and
@@ -153,6 +138,11 @@ fn cell_of(marks: &[f64], v: f64, cells: usize) -> usize {
     }
 }
 
+/// Ascending `(pre, id)` order — the tie-break every engine shares.
+fn by_pre_then_id(a: &(f64, PointId), b: &(f64, PointId)) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1))
+}
+
 impl KnnEngine for VaFile {
     fn dataset(&self) -> &Dataset {
         &self.dataset
@@ -167,43 +157,53 @@ impl KnnEngine for VaFile {
     }
 
     fn knn(&self, query: &[f64], k: usize, s: Subspace, exclude: Option<PointId>) -> Vec<Neighbor> {
-        let n = self.dataset.len();
-        if k == 0 || n == 0 {
+        if k == 0 || self.dataset.is_empty() {
             return Vec::new();
         }
-        // Phase 1: filter on approximation bounds. Track the kth
-        // smallest *upper* bound seen; anything with a lower bound
-        // beyond it is out.
-        let mut upper = TopK::new(k);
+        // Phase 1: filter on approximation bounds. Anything whose lower
+        // bound exceeds the kth smallest *upper* bound is out. Bounds
+        // are non-negative, so their bit patterns order like their
+        // values and a max-heap of bits keeps the k smallest.
+        let mut uppers = BinaryHeap::with_capacity(k);
         let mut survivors: Vec<(f64, PointId)> = Vec::new();
-        for i in 0..n {
-            if Some(i) == exclude || !self.dataset.is_live(i) {
+        for i in self.dataset.live_ids() {
+            if Some(i) == exclude {
                 continue;
             }
             let (lo, hi) = self.bounds(query, i, s);
-            upper.offer(hi, i);
+            if uppers.len() < k {
+                uppers.push(hi.to_bits());
+            } else if let Some(mut worst) = uppers.peek_mut() {
+                if hi.to_bits() < *worst {
+                    *worst = hi.to_bits();
+                }
+            }
             survivors.push((lo, i));
         }
-        let kth_upper = upper.worst().unwrap_or(f64::INFINITY);
+        let kth_upper = uppers.peek().map_or(f64::INFINITY, |&b| f64::from_bits(b));
         survivors.retain(|&(lo, _)| lo <= kth_upper);
-        // Phase 2: refine in ascending lower-bound order.
-        survivors.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
-        let mut best = TopK::new(k);
+        // Phase 2: refine in ascending lower-bound order, keeping the
+        // `k` best exact `(pre, id)` pairs sorted.
+        survivors.sort_by(by_pre_then_id);
+        let mut best: Vec<(f64, PointId)> = Vec::with_capacity(k + 1);
         let mut evals = 0u64;
         for &(lo, i) in &survivors {
-            if best.is_full() && best.worst().is_some_and(|w| lo > w) {
+            if best.len() == k && lo > best[k - 1].0 {
                 break;
             }
-            let pre = self.metric.pre_dist_sub(query, self.dataset.row(i), s);
+            let cand = (self.metric.pre_dist_sub(query, self.dataset.row(i), s), i);
             evals += 1;
-            best.offer(pre, i);
+            let at = best.partition_point(|b| by_pre_then_id(b, &cand).is_lt());
+            if at < k {
+                best.insert(at, cand);
+                best.truncate(k);
+            }
         }
         self.evals.fetch_add(evals, AtomicOrdering::Relaxed);
-        best.into_sorted()
-            .into_iter()
-            .map(|c| Neighbor {
-                id: c.id,
-                dist: self.metric.finish(c.pre),
+        best.into_iter()
+            .map(|(pre, id)| Neighbor {
+                id,
+                dist: self.metric.finish(pre),
             })
             .collect()
     }
@@ -218,17 +218,12 @@ impl KnnEngine for VaFile {
         let pre_radius = self.metric.pre_of(radius);
         let mut out = Vec::new();
         let mut evals = 0u64;
-        for i in 0..self.dataset.len() {
-            if Some(i) == exclude || !self.dataset.is_live(i) {
+        for i in self.dataset.live_ids() {
+            // A lower bound past the radius is certainly outside; any
+            // other point needs one refinement read for its exact
+            // distance.
+            if Some(i) == exclude || self.bounds(query, i, s).0 > pre_radius {
                 continue;
-            }
-            let (lo, hi) = self.bounds(query, i, s);
-            if lo > pre_radius {
-                continue; // certainly outside
-            }
-            if hi <= pre_radius {
-                // Certainly inside — but the caller wants the exact
-                // distance, so one refinement read is still needed.
             }
             evals += 1;
             let d = self.metric.dist_sub(query, self.dataset.row(i), s);
@@ -243,75 +238,12 @@ impl KnnEngine for VaFile {
     fn distance_evals(&self) -> u64 {
         self.evals.load(AtomicOrdering::Relaxed)
     }
-
-    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalEngine> {
-        Some(self)
-    }
-}
-
-/// Incremental maintenance for the VA-file.
-///
-/// * **Insert** — quantise the new row with the existing marks. A
-///   value outside the current range first *widens the outer marks*
-///   (`marks[0]`/`marks[cells]`): widening only grows cells, so every
-///   existing approximation's lower bound can only shrink and upper
-///   bound only grow — both stay valid brackets, which is all the
-///   filter's correctness needs. The k-NN result itself is exact
-///   regardless of the marks, so incremental results stay
-///   bit-identical to a cold rebuild (whose marks differ).
-/// * **Remove** — tombstone; the filter and refine loops skip dead
-///   rows. Approximation slots stay allocated until the dataset is
-///   compacted offline. Once removals outnumber the live set the
-///   marks are rebuilt over the live range (widening is never undone
-///   in place), restoring filter selectivity after heavy churn.
-impl IncrementalEngine for VaFile {
-    fn insert(&mut self, row: &[f64]) -> Result<PointId, IndexError> {
-        validate_insert(&self.dataset, row)?;
-        let was_dimless = self.dataset.dim() == 0;
-        let id = self.dataset.push_row(row)?;
-        if was_dimless {
-            // First row of an engine built over an empty dataset: the
-            // insert fixed the arity, so build real marks now.
-            self.requantise();
-            return Ok(id);
-        }
-        let d = self.dataset.dim();
-        debug_assert_eq!(self.approx.len(), id * d);
-        for (c, &v) in row.iter().enumerate() {
-            let m = &mut self.marks[c];
-            let last = m.len() - 1;
-            if v < m[0] {
-                m[0] = v;
-            }
-            if v >= m[last] {
-                let span = (v - m[0]).max(f64::MIN_POSITIVE);
-                m[last] = v + span * 1e-9;
-            }
-            self.approx.push(cell_of(m, v, self.cells) as u8);
-        }
-        Ok(id)
-    }
-
-    fn remove(&mut self, id: PointId) -> Result<(), IndexError> {
-        validate_remove(&self.dataset, id)?;
-        self.dataset.remove_row(id)?;
-        // Tombstoning alone keeps every bracket valid but never
-        // tightens one; once removals dominate the live set, rebuild
-        // the marks over what actually remains. Results are exact
-        // either way — only filter selectivity is at stake — so the
-        // trigger is a heuristic, not a correctness point.
-        self.stale_removals += 1;
-        if self.stale_removals > self.dataset.live_len().max(16) {
-            self.requantise();
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinearScan;
+    use hos_index::{LinearScan, XTree, XTreeConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -392,6 +324,65 @@ mod tests {
         }
     }
 
+    /// Integer-grid data maximises distance ties — the worst case for
+    /// selection determinism. The VA-file must return the same
+    /// distance list as the linear scan and the X-tree.
+    #[test]
+    fn grid_data_agrees_with_linear_scan() {
+        let mut rows = Vec::new();
+        for x in 0..6 {
+            for y in 0..6 {
+                for z in 0..3 {
+                    rows.push(vec![x as f64, y as f64, z as f64]);
+                }
+            }
+        }
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let lin = LinearScan::new(ds.clone(), Metric::L1);
+        let xt = XTree::build(ds.clone(), Metric::L1, XTreeConfig::default());
+        let va = VaFile::build(ds, Metric::L1, VaFileConfig::default());
+        for q in [[0.0, 0.0, 0.0], [2.5, 2.5, 1.5], [5.0, 0.0, 2.0]] {
+            for s in [Subspace::full(3), Subspace::from_dims(&[0, 2])] {
+                let a: Vec<f64> = lin.knn(&q, 8, s, None).iter().map(|n| n.dist).collect();
+                let b: Vec<f64> = xt.knn(&q, 8, s, None).iter().map(|n| n.dist).collect();
+                let c: Vec<f64> = va.knn(&q, 8, s, None).iter().map(|n| n.dist).collect();
+                assert_eq!(a, b, "xtree vs linear at {q:?} {s}");
+                assert_eq!(a, c, "vafile vs linear at {q:?} {s}");
+            }
+        }
+    }
+
+    /// Exact ties at the kth distance keep the smaller id whichever
+    /// order the lower bounds refine them in — the `(distance, id)`
+    /// contract of every engine, bit for bit against the linear scan.
+    #[test]
+    fn ties_resolve_to_the_smaller_id_like_linear_scan() {
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![(i % 4) as f64, 0.0]).collect();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let va = VaFile::build(ds.clone(), Metric::L2, VaFileConfig { bits: 1 });
+        let lin = LinearScan::new(ds, Metric::L2);
+        for k in [1, 3, 10, 11, 40] {
+            let q = [1.2, 0.0];
+            assert_eq!(
+                va.knn(&q, k, Subspace::full(2), Some(5)),
+                lin.knn(&q, k, Subspace::full(2), Some(5)),
+                "k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_coordinate_magnitudes_stay_finite() {
+        let rows: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![1e12 + i as f64 * 1e9, -1e12 + i as f64 * 1e9])
+            .collect();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let va = VaFile::build(ds.clone(), Metric::L2, VaFileConfig::default());
+        let nn = va.knn(ds.row(0), 3, Subspace::full(2), Some(0));
+        assert_eq!(nn.len(), 3);
+        assert!(nn.iter().all(|n| n.dist.is_finite()));
+    }
+
     #[test]
     fn filter_skips_most_refinements() {
         let ds = random_dataset(4000, 8, 17);
@@ -449,45 +440,21 @@ mod tests {
             let exact = Metric::L2.pre_dist_sub(&q, ds.row(i), Subspace::full(3));
             assert!(lo <= exact + 1e-9 && hi >= exact - 1e-9, "point {i}");
         }
+        // And the tombstoned row never answers a query.
+        assert!(va
+            .knn(&q, 200, Subspace::full(3), None)
+            .iter()
+            .all(|n| n.id != outlier));
     }
 
-    /// Heavy churn rebuilds the marks over the live range (an insert's
-    /// widening plus tombstoning alone never tightens them), and the
-    /// engine stays bit-exact against the linear-scan oracle
-    /// throughout.
     #[test]
-    fn churn_requantises_marks_and_stays_exact() {
-        let ds = random_dataset(60, 2, 23); // values in ±50
-        let mut va = VaFile::build(ds.clone(), Metric::L2, VaFileConfig::default());
-        let far = va.insert(&[4.0e5, 4.0e5]).unwrap();
-        let last = va.marks[0].len() - 1;
-        assert!(va.marks[0][last] >= 4.0e5, "insert must widen the marks");
-        va.remove(far).unwrap();
-        // Remove until removals outnumber the live set; the rebuild
-        // trigger must fire and tighten the outer marks back down.
-        for id in 0..45 {
-            va.remove(id).unwrap();
-        }
-        let last = va.marks[0].len() - 1;
-        assert!(
-            va.marks[0][last] <= 51.0,
-            "marks still span the removed extreme after churn: {}",
-            va.marks[0][last]
+    fn fit_once_engine_has_no_incremental_capability() {
+        let mut va = VaFile::build(
+            random_dataset(10, 2, 0),
+            Metric::L2,
+            VaFileConfig::default(),
         );
-        // Oracle pin: same mutations on the raw dataset, exact answers.
-        let mut oracle = ds;
-        oracle.push_row(&[4.0e5, 4.0e5]).unwrap();
-        oracle.remove_row(far).unwrap();
-        for id in 0..45 {
-            oracle.remove_row(id).unwrap();
-        }
-        let lin = LinearScan::new(oracle.clone(), Metric::L2);
-        let mut rng = StdRng::seed_from_u64(29);
-        for _ in 0..10 {
-            let q: Vec<f64> = (0..2).map(|_| rng.gen_range(-60.0..60.0)).collect();
-            let s = Subspace::from_mask(rng.gen_range(1u64..4));
-            assert_eq!(va.knn(&q, 4, s, None), lin.knn(&q, 4, s, None), "{s}");
-        }
+        assert!(va.as_incremental().is_none());
     }
 
     #[test]

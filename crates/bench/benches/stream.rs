@@ -11,8 +11,8 @@
 //!   window updates/s.
 //! * `queries_under_churn` — one full-space OD against the churned
 //!   window: detection latency while tombstones and appended rows are
-//!   present (the X-tree's bounded re-bulk-load and the VA-file's
-//!   widened marks are in play by then).
+//!   present (the X-tree's bounded re-bulk-load and HNSW's
+//!   tombstoned graph nodes are in play by then).
 //! * `interleaved` — ten updates then one OD query, the CLI's
 //!   steady-state mix.
 //!
@@ -44,7 +44,7 @@ fn configs() -> Vec<(String, Engine, usize)> {
         ("linear".into(), Engine::Linear, 1),
         ("linear_shards4".into(), Engine::Linear, 4),
         ("xtree".into(), Engine::XTree, 1),
-        ("vafile".into(), Engine::VaFile, 1),
+        ("hnsw".into(), Engine::Hnsw, 1),
     ]
 }
 

@@ -4,12 +4,12 @@
 use crate::workloads::standard_planted;
 use crate::{emit, ms, timed};
 use hos_baselines::evolutionary::EvolutionarySearch;
-use hos_baselines::{exhaustive_search, EvoConfig, ExhaustiveMode};
+use hos_baselines::{exhaustive_search, EvoConfig, ExhaustiveMode, VaFile, VaFileConfig};
 use hos_core::od::OdMode;
 use hos_core::{minimal_subspaces, HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_data::table::{fmt_f64, Table};
 use hos_data::{Metric, Subspace};
-use hos_index::{KnnEngine, LinearScan, VaFile, VaFileConfig, XTree, XTreeConfig};
+use hos_index::{KnnEngine, LinearScan, XTree, XTreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;

@@ -1,5 +1,7 @@
 //! Tiny dependency-free flag parser: `--name value` pairs plus
-//! positional arguments, with typed accessors.
+//! positional arguments, with typed accessors. Only the flags listed
+//! in `hos-miner help`'s USAGE block parse; anything else is an error,
+//! so a typo never silently falls back to a default.
 
 use std::collections::HashMap;
 
@@ -11,8 +13,53 @@ pub struct Args {
     switches: Vec<String>,
 }
 
-/// Flags that take no value.
-const SWITCHES: &[&str] = &["header", "verbose", "reestimate", "strict", "kernel"];
+/// Every flag in the USAGE block that takes a value.
+pub(crate) const VALUE_FLAGS: &[&str] = &[
+    "out",
+    "n",
+    "d",
+    "clusters",
+    "targets",
+    "shift",
+    "seed",
+    "data",
+    "save-model",
+    "snapshot",
+    "id",
+    "ids",
+    "point",
+    "model",
+    "k",
+    "threshold",
+    "quantile",
+    "engine",
+    "samples",
+    "metric",
+    "normalize",
+    "smoothing",
+    "threads",
+    "shards",
+    "ef",
+    "recall-target",
+    "top",
+    "window",
+    "every",
+    "wal",
+    "sync-every",
+    "queries",
+    "summary",
+    "clients",
+    "requests",
+    "min-bin-speedup",
+    "pipeline",
+    "addr",
+    "baseline",
+    "tolerance",
+    "keys",
+];
+
+/// Every flag in the USAGE block that takes no value.
+pub(crate) const SWITCHES: &[&str] = &["header", "verbose", "reestimate", "strict", "kernel"];
 
 impl Args {
     /// Parses `--name value` pairs, bare `--switch` flags and
@@ -26,6 +73,8 @@ impl Args {
                 if SWITCHES.contains(&name) {
                     out.switches.push(name.to_string());
                     i += 1;
+                } else if !VALUE_FLAGS.contains(&name) {
+                    return Err(format!("unknown flag --{name}"));
                 } else {
                     let value = argv
                         .get(i + 1)
@@ -106,12 +155,12 @@ mod tests {
 
     #[test]
     fn typed_accessors() {
-        let a = Args::parse(&argv(&["--k", "7", "--q", "0.9"])).unwrap();
+        let a = Args::parse(&argv(&["--k", "7", "--quantile", "0.9"])).unwrap();
         assert_eq!(a.get_or("k", 5usize).unwrap(), 7);
         assert_eq!(a.get_or("missing", 5usize).unwrap(), 5);
-        assert_eq!(a.get_opt::<f64>("q").unwrap(), Some(0.9));
+        assert_eq!(a.get_opt::<f64>("quantile").unwrap(), Some(0.9));
         assert_eq!(a.get_opt::<f64>("nope").unwrap(), None);
-        assert!(a.get_or("q", 1usize).is_err());
+        assert!(a.get_or("quantile", 1usize).is_err());
     }
 
     #[test]

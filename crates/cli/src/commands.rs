@@ -25,11 +25,11 @@ USAGE:
   hos-miner query    --data FILE (--id N | --ids N1,N2,... | --point \"x1,x2,...\")
                      [--model FILE]
                      [--k 5] [--threshold T | --quantile 0.95]
-                     [--engine linear|xtree|vafile|hnsw] [--samples 20]
+                     [--engine linear|xtree|hnsw] [--samples 20]
                      [--metric l1|l2|linf] [--normalize none|minmax|zscore]
                      [--smoothing 1.0] [--threads 1] [--shards 1]
                      [--ef N] [--recall-target 0.95]
-                     [--seed 0] [--header]
+                     [--seed 0] [--header] [--verbose]
   hos-miner scan     --data FILE [--top 5] [--model FILE] [... tuning flags]
   hos-miner stream   [--data FILE]  (no --data: rows from stdin)
                      [--window 500] [--every 200] [--top 3] [--reestimate]
@@ -154,44 +154,19 @@ fn parse_normalizer(args: &Args, ds: &Dataset) -> Result<(Dataset, Option<Normal
     }
 }
 
-/// Builds a miner either from a saved model (`--model`) or by fitting
-/// with the tuning flags.
+/// Builds a miner either from a saved model (`--model`, with the
+/// machine knobs — `--threads`, `--shards`, `--ef`, `--recall-target`,
+/// `--seed` — taken from the flags) or by fitting with the tuning
+/// flags.
 fn build_miner(args: &Args, ds: Dataset) -> Result<HosMiner, String> {
-    if let Some(path) = args.get("model") {
-        let model = hos_core::ModelFile::load(path).map_err(|e| e.to_string())?;
-        // Parallelism is machine-specific, not part of the fitted
-        // model: honour --threads and --shards here too, as the help
-        // promises.
-        let miner = model
-            .into_miner_with(
-                ds,
-                args.get_or("shards", 1usize)?,
-                args.get_or("threads", 1usize)?,
-            )
-            .map_err(|e| e.to_string())?;
-        // Search width is machine tuning like --threads, so the model
-        // file never carries it: honour the flags at load time too.
-        if let Some(ef) = args.get_opt::<usize>("ef")? {
-            if ef == 0 {
-                return Err("--ef must be positive".into());
-            }
-            miner.engine().set_search_width(ef);
+    let config = miner_config(args)?;
+    match args.get("model") {
+        Some(path) => {
+            hos_core::ModelFile::load(path).and_then(|model| model.into_miner_with(ds, &config))
         }
-        if let Some(target) = args.get_opt::<f64>("recall-target")? {
-            if !(target.is_finite() && target > 0.0 && target <= 1.0) {
-                return Err(format!("--recall-target {target} must be in (0, 1]"));
-            }
-            hos_index::calibrate_search_width(
-                miner.engine(),
-                miner.config().k,
-                target,
-                16,
-                args.get_or("seed", 0u64)?.wrapping_add(2),
-            );
-        }
-        return Ok(miner);
+        None => HosMiner::fit(ds, config),
     }
-    fit_miner(args, ds)
+    .map_err(|e| e.to_string())
 }
 
 /// Assembles a [`HosMinerConfig`] from the shared tuning flags.
@@ -1574,6 +1549,23 @@ mod tests {
         assert!(run(&["help"]).is_ok());
         assert!(run(&[]).is_ok());
         assert!(run(&["frobnicate"]).is_err());
+    }
+
+    /// The accepted flags are exactly the ones the USAGE block lists.
+    #[test]
+    fn accepted_flags_match_the_usage_block() {
+        use crate::args::{SWITCHES, VALUE_FLAGS};
+        let (_, usage) = HELP.split_once("USAGE:").unwrap();
+        let (usage, _) = usage.split_once("\n\n").unwrap();
+        let mut listed: Vec<&str> = usage
+            .split(|c: char| c.is_whitespace() || "[]():".contains(c))
+            .filter_map(|t| t.strip_prefix("--"))
+            .collect();
+        listed.sort_unstable();
+        listed.dedup();
+        let mut accepted: Vec<&str> = VALUE_FLAGS.iter().chain(SWITCHES).copied().collect();
+        accepted.sort_unstable();
+        assert_eq!(listed, accepted);
     }
 
     #[test]

@@ -484,8 +484,8 @@ fn engine_flag_accepts_all_engines() {
             .status
             .success()
     );
-    for engine in ["linear", "xtree", "vafile"] {
-        let out = run(&[
+    let query = |engine: &str| {
+        run(&[
             "query",
             "--data",
             csv_s,
@@ -495,8 +495,53 @@ fn engine_flag_accepts_all_engines() {
             engine,
             "--samples",
             "0",
-        ]);
+        ])
+    };
+    for engine in ["linear", "xtree", "hnsw"] {
+        let out = query(engine);
         assert!(out.status.success(), "engine {engine}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("minimal outlying subspaces"),
+            "{engine}: {text}"
+        );
+    }
+    // The VA-file is an experiment comparator, not an engine choice.
+    let out = query("vafile");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("linear|xtree|hnsw"), "{err}");
+    std::fs::remove_file(csv).ok();
+}
+
+/// A mistyped flag is an error naming it — never silently ignored
+/// while the command runs with the default (e.g. linear) engine.
+#[test]
+fn unknown_flags_fail_the_binary() {
+    let csv = tmp("typos.csv");
+    let csv_s = csv.to_str().unwrap();
+    assert!(
+        run(&["generate", "--out", csv_s, "--n", "200", "--d", "4", "--seed", "1"])
+            .status
+            .success()
+    );
+    for (cmd, typo, value) in [
+        ("scan", "--engin", "xtree"),
+        ("query", "--wokers", "2"),
+        ("query", "--verbos", "1"),
+    ] {
+        let mut argv = vec![cmd, "--data", csv_s, typo, value];
+        if cmd == "query" {
+            argv.extend(["--id", "3"]);
+        }
+        let out = run(&argv);
+        assert!(!out.status.success(), "{cmd} {typo}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {typo}")),
+            "{typo}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{typo}: nothing may run");
     }
     std::fs::remove_file(csv).ok();
 }

@@ -111,9 +111,9 @@ fn apply_search_width(engine: &dyn KnnEngine, config: &HosMinerConfig) -> Result
 /// One query in a mixed service batch: either a dataset member
 /// (excluded from its own neighbourhoods) or an arbitrary point.
 ///
-/// The serving layer coalesces concurrent requests of both shapes
-/// into one admission window and drives them through
-/// [`HosMiner::query_each`]; this enum is that seam's unit of work.
+/// The serving layer decodes each query request (JSON or hosbin) into
+/// a list of these and runs it through [`HosMiner::query_each`] on the
+/// worker that read it; this enum is that seam's unit of work.
 #[derive(Clone, Debug, PartialEq)]
 pub enum QuerySpec {
     /// A dataset member by id (self-excluded, like
@@ -945,7 +945,7 @@ mod tests {
 
     #[test]
     fn insert_and_retire_maintain_queries_incrementally() {
-        for engine in [Engine::Linear, Engine::XTree, Engine::VaFile] {
+        for engine in [Engine::Linear, Engine::XTree] {
             let (mut miner, truth) = fitted(engine);
             let n0 = miner.engine().dataset().len();
             assert_eq!(miner.live_len(), n0);

@@ -187,21 +187,18 @@ impl ModelFile {
     /// on; it need not be byte-identical, but priors and threshold are
     /// only meaningful for data from the same distribution.
     pub fn into_miner(self, dataset: Dataset) -> Result<HosMiner> {
-        self.into_miner_with(dataset, 1, 1)
+        self.into_miner_with(dataset, &HosMinerConfig::default())
     }
 
-    /// [`ModelFile::into_miner`] with machine-specific execution
-    /// parameters: `shards` data partitions for intra-query
-    /// parallelism and `threads` workers. Parallelism is not part of
-    /// the persisted model — the same file serves a laptop and a
-    /// 64-core box — so it is supplied at load time. Results are
-    /// bit-identical regardless of either value.
-    pub fn into_miner_with(
-        self,
-        dataset: Dataset,
-        shards: usize,
-        threads: usize,
-    ) -> Result<HosMiner> {
+    /// [`ModelFile::into_miner`] with the caller's machine knobs, read
+    /// from `machine`: `shards`, `threads`, the search width `ef`, the
+    /// `recall_target` and the calibration `seed`. Every other field
+    /// of `machine` is ignored — the model supplies it. The knobs are
+    /// not part of the persisted model (the same file serves a laptop
+    /// and a 64-core box), and [`HosMiner::from_parts`] applies and
+    /// validates them exactly as [`HosMiner::fit`] does. Sharding and
+    /// threading never change a result.
+    pub fn into_miner_with(self, dataset: Dataset, machine: &HosMinerConfig) -> Result<HosMiner> {
         if dataset.dim() != self.priors.dim() {
             return Err(HosError::Config(format!(
                 "model was fitted on {} dimensions, dataset has {}",
@@ -215,8 +212,11 @@ impl ModelFile {
             metric: self.metric,
             engine: self.engine,
             sample_size: 0,
-            shards,
-            threads: threads.max(1),
+            shards: machine.shards,
+            threads: machine.threads.max(1),
+            ef: machine.ef,
+            recall_target: machine.recall_target,
+            seed: machine.seed,
             ..HosMinerConfig::default()
         };
         let model = LearnedModel {
@@ -318,6 +318,42 @@ mod tests {
         let m = ModelFile::from_miner(&miner);
         let other = uniform(50, 3, 0.0, 1.0, 1).unwrap();
         assert!(m.into_miner(other).is_err());
+    }
+
+    /// Load-time search width goes through the same validation and
+    /// calibration as a fit: a zero width is a typed config error, and
+    /// a recall target calibrates to exactly the width the calibration
+    /// reaches on a default-width engine.
+    #[test]
+    fn load_time_search_width_is_validated_and_calibrated() {
+        let (miner, ds) = fitted();
+        let model = ModelFile {
+            engine: Engine::Hnsw,
+            ..ModelFile::from_miner(&miner)
+        };
+        let zero = HosMinerConfig {
+            ef: Some(0),
+            ..HosMinerConfig::default()
+        };
+        assert!(matches!(
+            model.clone().into_miner_with(ds.clone(), &zero),
+            Err(HosError::Config(_))
+        ));
+        let machine = HosMinerConfig {
+            ef: Some(4),
+            recall_target: Some(0.99),
+            seed: 7,
+            ..HosMinerConfig::default()
+        };
+        let loaded = model.clone().into_miner_with(ds.clone(), &machine).unwrap();
+        let reference = model.into_miner(ds).unwrap();
+        reference.engine().set_search_width(4);
+        hos_index::calibrate_search_width(reference.engine(), 4, 0.99, 16, 7 + 2);
+        assert_eq!(
+            loaded.engine().search_width(),
+            reference.engine().search_width()
+        );
+        assert!(loaded.engine().search_width().unwrap() > 4);
     }
 
     #[test]

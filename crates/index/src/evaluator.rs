@@ -217,7 +217,7 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
 mod tests {
     use super::*;
     use crate::linear::LinearScan;
-    use crate::vafile::{VaFile, VaFileConfig};
+    use crate::xtree::{XTree, XTreeConfig};
     use hos_data::{Dataset, Metric};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -276,14 +276,14 @@ mod tests {
     fn contextless_engine_stays_on_engine_path() {
         let d = 4;
         let ds = dataset(60, d, 3);
-        let va = VaFile::build(ds.clone(), Metric::L2, VaFileConfig::default());
+        let tree = XTree::build(ds.clone(), Metric::L2, XTreeConfig::default());
         let q: Vec<f64> = ds.row(5).to_vec();
         let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).collect();
         let reference: Vec<f64> = subspaces
             .iter()
-            .map(|&s| va.od(&q, 3, s, Some(5)))
+            .map(|&s| tree.od(&q, 3, s, Some(5)))
             .collect();
-        let mut ev = va.evaluator(&q, 3, Some(5));
+        let mut ev = tree.evaluator(&q, 3, Some(5));
         assert_eq!(ev.od_batch(&subspaces, 2), reference);
         // Repeat batch: still correct with ctx_pending resolved to None.
         assert_eq!(ev.od_batch(&subspaces, 1), reference);

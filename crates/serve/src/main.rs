@@ -14,7 +14,7 @@ USAGE:
   hos-serve (--data FILE [--header] | --n 2000 --d 6) [--seed 0]
             [--model FILE] [--data-dir DIR]
             [--k 5] [--threshold T | --quantile 0.95]
-            [--engine linear|xtree|vafile|hnsw] [--metric l1|l2|linf]
+            [--engine linear|xtree|hnsw] [--metric l1|l2|linf]
             [--ef N] [--recall-target 0.95]
             [--threads 1] [--shards 1] [--samples 20]
             [--addr 127.0.0.1:7878] [--workers 0] [--queue-cap 1024]
@@ -46,8 +46,8 @@ ops) before the client is acknowledged, and a compacted columnar
 snapshot is checkpointed every --snapshot-every writes and at drain.
 A fresh --data-dir is initialised from the data flags. The tuning
 flags must match the ones the store was created with (a mismatch is
-a typed startup error, not silent divergence). Any other flag is
-an error.";
+a typed startup error, not silent divergence). Any other flag, a
+repeated flag, or --threshold together with --quantile is an error.";
 
 /// Every flag in the USAGE block above that takes a value.
 const VALUE_FLAGS: &[&str] = &[
@@ -94,6 +94,9 @@ impl Flags {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument {arg:?}"));
             };
+            if map.iter().any(|(n, _)| n == name) || switches.iter().any(|s| s == name) {
+                return Err(format!("flag --{name} given twice"));
+            }
             if SWITCHES.contains(&name) {
                 switches.push(name.to_string());
                 i += 1;
@@ -157,7 +160,10 @@ fn load_dataset(flags: &Flags) -> Result<Dataset, String> {
 
 fn miner_config(flags: &Flags) -> Result<HosMinerConfig, String> {
     let threshold = match (flags.get("threshold"), flags.get("quantile")) {
-        (Some(t), _) => ThresholdPolicy::Fixed(
+        (Some(_), Some(_)) => {
+            return Err("--threshold and --quantile are mutually exclusive".into())
+        }
+        (Some(t), None) => ThresholdPolicy::Fixed(
             t.parse()
                 .map_err(|_| format!("--threshold: bad value {t:?}"))?,
         ),
@@ -213,30 +219,16 @@ fn miner_config(flags: &Flags) -> Result<HosMinerConfig, String> {
     })
 }
 
+/// Loads `--model` (its machine knobs from `config`) or fits.
 fn build_miner(flags: &Flags, config: &HosMinerConfig) -> Result<HosMiner, String> {
     let ds = load_dataset(flags)?;
-    if let Some(path) = flags.get("model") {
-        let model = hos_core::ModelFile::load(path).map_err(|e| e.to_string())?;
-        let miner = model
-            .into_miner_with(ds, config.shards, config.threads)
-            .map_err(|e| e.to_string())?;
-        // Search width is machine tuning, never part of the model
-        // file: honour the flags at load time, like the CLI does.
-        if let Some(ef) = config.ef {
-            miner.engine().set_search_width(ef);
+    match flags.get("model") {
+        Some(path) => {
+            hos_core::ModelFile::load(path).and_then(|model| model.into_miner_with(ds, config))
         }
-        if let Some(target) = config.recall_target {
-            hos_index::calibrate_search_width(
-                miner.engine(),
-                miner.config().k,
-                target,
-                16,
-                config.seed.wrapping_add(2),
-            );
-        }
-        return Ok(miner);
+        None => HosMiner::fit(ds, *config),
     }
-    HosMiner::fit(ds, *config).map_err(|e| e.to_string())
+    .map_err(|e| e.to_string())
 }
 
 /// With `--data-dir`, recovers the miner from the durable store (or

@@ -241,6 +241,36 @@ fn unknown_flags_fail_the_binary() {
     }
 }
 
+/// Conflicting or repeated flags, and the retired `vafile` engine
+/// name, fail the binary with exit 2 before it fits or listens —
+/// nothing on stdout — with the same wording `hos-miner` uses.
+#[test]
+fn conflicting_repeated_and_retired_flags_fail_the_binary() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["--threshold", "3", "--quantile", "0.9"],
+            "--threshold and --quantile are mutually exclusive",
+        ),
+        (&["--k", "3", "--k", "7"], "flag --k given twice"),
+        (&["--header", "--header"], "flag --header given twice"),
+        (&["--engine", "vafile"], "expected linear|xtree|hnsw"),
+    ];
+    for (extra, expected) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hos-serve"))
+            .args(["--n", "300", "--d", "4", "--addr", "127.0.0.1:0"])
+            .args(extra)
+            .output()
+            .expect("run hos-serve");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "{extra:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{extra:?} must fail before listening"
+        );
+    }
+}
+
 /// Satellite smoke for the approximate tier: the hos-serve BINARY
 /// with `--engine hnsw --ef N` must reach the HNSW engine (previously
 /// the flags were simply not parsed) and answer every endpoint. The
