@@ -405,6 +405,82 @@ fn bench_summary_file_and_compare_via_binary() {
     std::fs::remove_file(baseline).ok();
 }
 
+/// The `results` fields of a bench summary as `(key, value)` pairs.
+fn summary_results(path: &std::path::Path) -> Vec<(String, f64)> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let (_, results) = text.split_once("\"results\"").expect("results block");
+    results
+        .lines()
+        .filter_map(|line| {
+            let (key, value) = line.trim().trim_end_matches(',').split_once("\": ")?;
+            Some((key.trim_start_matches('"').to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+#[test]
+fn bench_summary_spreads_are_ordered_and_shards_keep_counts() {
+    let mut counts = Vec::new();
+    for shards in ["1", "2"] {
+        let path = tmp(&format!("spread_shards{shards}.json"));
+        let out = run(&[
+            "bench",
+            "--n",
+            "300",
+            "--d",
+            "4",
+            "--queries",
+            "6",
+            "--samples",
+            "0",
+            "--shards",
+            shards,
+            "--threads",
+            "2",
+            "--summary",
+            path.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let results = summary_results(&path);
+        let value = |key: &str| {
+            results
+                .iter()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("summary lacks {key}: {results:?}"))
+                .1
+        };
+        let timed: Vec<&str> = results
+            .iter()
+            .filter_map(|(k, _)| k.strip_suffix("_q1"))
+            .collect();
+        for key in [
+            "fit_seconds",
+            "query_seconds",
+            "queries_per_s",
+            "single_query_ms",
+            "update_us",
+            "churn_query_ms",
+        ] {
+            assert!(timed.contains(&key), "{key} has no spread: {results:?}");
+        }
+        for key in timed {
+            let (q1, median, q3) = (
+                value(&format!("{key}_q1")),
+                value(key),
+                value(&format!("{key}_q3")),
+            );
+            assert!(q1 <= median && median <= q3, "{key}: {q1} {median} {q3}");
+        }
+        counts.push((value("od_evals"), value("outliers")));
+        std::fs::remove_file(path).ok();
+    }
+    assert_eq!(counts[0], counts[1], "--shards 2 changed the answers");
+}
+
 #[test]
 fn stream_consumes_stdin_and_reports_windows() {
     use std::io::Write;

@@ -88,7 +88,7 @@ pub trait OdEvaluator {
 ///
 /// An uncached OD costs about `n · |s|` full-strength per-dimension
 /// terms; the cache costs one `n · d` build plus `n · |s|` cheap
-/// column combines (~half a term each, per `benches/context.rs`).
+/// column combines (~half a term each, per DESIGN.md §3's table).
 /// Breakeven is therefore near a *cumulative* evaluated
 /// dimensionality of `2d`: the evaluator sums `|s|` over every
 /// subspace it has been asked for and builds the context the moment
