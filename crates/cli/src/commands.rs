@@ -462,11 +462,20 @@ fn cmd_query_batch(miner: &HosMiner, ids: &[usize], verbose: bool) -> CmdResult 
     Ok(())
 }
 
+/// `--top N` for `scan` and `stream`: zero would search no point and
+/// then report that none reaches the threshold, so it is an error.
+fn top_flag(args: &Args, default: usize) -> Result<usize, String> {
+    match args.get_or("top", default)? {
+        0 => Err("--top must be at least 1".into()),
+        top => Ok(top),
+    }
+}
+
 fn cmd_scan(args: &Args) -> CmdResult {
+    let top = top_flag(args, 5)?;
     let raw = load(args)?;
     let (ds, _) = parse_normalizer(args, &raw)?;
     let miner = build_miner(args, ds)?;
-    let top = args.get_or("top", 5usize)?;
     let report = hos_core::scan_outliers(&miner, top).map_err(|e| e.to_string())?;
     println!(
         "top {top} points by full-space OD (threshold T = {}):\n",
@@ -493,6 +502,10 @@ fn cmd_scan(args: &Args) -> CmdResult {
         report.skipped,
         report.skipped + report.truncated + report.hits.len()
     );
+    println!(
+        "({} more points reach T but were not searched: past --top {top})",
+        report.truncated
+    );
     Ok(())
 }
 
@@ -510,7 +523,7 @@ fn cmd_scan(args: &Args) -> CmdResult {
 fn cmd_stream(args: &Args) -> CmdResult {
     let window = args.get_or("window", 500usize)?;
     let every = args.get_or("every", 200usize)?.max(1);
-    let top = args.get_or("top", 3usize)?;
+    let top = top_flag(args, 3)?;
     let reestimate = args.switch("reestimate");
     let config = miner_config(args)?;
     if window <= config.k + 1 {

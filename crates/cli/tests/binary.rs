@@ -481,6 +481,45 @@ fn bench_summary_spreads_are_ordered_and_shards_keep_counts() {
     assert_eq!(counts[0], counts[1], "--shards 2 changed the answers");
 }
 
+/// `--top 0` is an error naming the flag on both scan front-ends (it
+/// used to search nothing and then claim no point reaches T), and the
+/// scan footer counts the above-T points a smaller `--top` left
+/// unsearched: on this data 97 of 2 002 points reach T.
+#[test]
+fn scan_top_zero_is_an_error_and_footer_counts_unsearched() {
+    let csv = tmp("scan_top.csv");
+    let csv_s = csv.to_str().unwrap();
+    assert!(
+        run(&["generate", "--out", csv_s, "--n", "2000", "--d", "8", "--seed", "3"])
+            .status
+            .success()
+    );
+    for cmd in ["scan", "stream"] {
+        let out = run(&[cmd, "--data", csv_s, "--top", "0"]);
+        assert!(!out.status.success(), "{cmd} --top 0 must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--top must be at least 1"), "{cmd}: {err}");
+        assert!(out.stdout.is_empty(), "{cmd}: nothing may run");
+    }
+    let out = run(&["scan", "--data", csv_s, "--top", "2"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.matches("point #").count(), 2, "{text}");
+    assert!(
+        text.contains("(1905 of 2002 points skipped without any subspace search"),
+        "{text}"
+    );
+    assert!(
+        text.contains("(95 more points reach T but were not searched: past --top 2)"),
+        "{text}"
+    );
+    std::fs::remove_file(csv).ok();
+}
+
 #[test]
 fn stream_consumes_stdin_and_reports_windows() {
     use std::io::Write;

@@ -38,10 +38,13 @@ pub struct ScanReport {
     /// Exact pair folds the ranking kernel performed — the blocked
     /// counterpart of engine `distance_evals`, reported here because
     /// the kernel reads the dataset directly and engine counters never
-    /// observe the ranking pass.
+    /// observe the ranking pass. The count depends on the order the
+    /// kernel visits candidates in (how soon each query's top-k bound
+    /// tightens); the ranked ODs do not.
     pub ranking_evals: u64,
-    /// Live pairs the ranking kernel rejected via quantized admission
-    /// bounds without an exact fold. Together the two counters cover
+    /// Live pairs the ranking kernel rejected without an exact fold:
+    /// by a quantized admission bound, or by lying past the point
+    /// where the sorted sweep stopped. Together the two counters cover
     /// every live ordered pair:
     /// `ranking_evals + ranking_filtered == live * (live - 1)`.
     pub ranking_filtered: u64,
@@ -61,8 +64,10 @@ impl ScanReport {
 /// most `limit` hits (use `usize::MAX` for all).
 ///
 /// The ranking phase runs the **blocked all-points kernel**
-/// ([`hos_index::all_points_full_od`]): one SoA transpose, then
-/// block-of-queries × column streaming with reused top-k heaps,
+/// ([`hos_index::all_points_full_od`]): one sort along the widest
+/// column and one `f32` column copy, then per point an outward sorted
+/// sweep under a quantized admission bound (or, for `Lp`, a
+/// block-of-queries × column stream), with reused top-k heaps,
 /// instead of `n` independent engine queries. The kernel folds
 /// per-dimension terms in the same ascending order and selects/sums in
 /// the same `(distance, id)` order as every engine, so the ranked ODs

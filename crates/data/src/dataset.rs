@@ -26,21 +26,6 @@ use crate::Result;
 /// Identifier of a point: its row index in the [`Dataset`].
 pub type PointId = usize;
 
-/// The quantized companion column set produced by
-/// [`Dataset::to_column_major_f32`]: half-width column-major values
-/// plus the per-column magnitude scales that admission kernels turn
-/// into conservative slack.
-pub struct QuantizedColumns {
-    /// `cols[j * n + i]` = value of point `i` in dimension `j`,
-    /// rounded to the nearest `f32` (tombstoned rows included
-    /// positionally, like [`Dataset::to_column_major`]).
-    pub cols: Vec<f32>,
-    /// `scale[j]` = max `|v|` over column `j` in exact `f64` — the
-    /// magnitude that bounds every rounding error a kernel's `f32`
-    /// arithmetic over the column can commit.
-    pub scale: Vec<f64>,
-}
-
 /// A dense `n x d` matrix of `f64`, row-major, with optional
 /// tombstones (see the module docs' mutation model).
 #[derive(Clone, Debug)]
@@ -257,30 +242,6 @@ impl Dataset {
             }
         }
         out
-    }
-
-    /// A quantized `f32` companion of [`Dataset::to_column_major`]:
-    /// the same column-major layout, each value rounded to the nearest
-    /// `f32`, plus one per-column magnitude scale. Admission kernels
-    /// stream these half-width columns to compute *lower bounds* on
-    /// exact `f64` pre-distances; the conservative part is the scale —
-    /// `scale[j]` bounds `|v|` over column `j`, so a kernel can
-    /// subtract `scale[j] * eps` per term and provably stay below the
-    /// exact value despite the rounding in the narrowing conversion
-    /// and the `f32` arithmetic that follows.
-    pub fn to_column_major_f32(&self) -> QuantizedColumns {
-        let mut cols = vec![0.0f32; self.n * self.d];
-        let mut scale = vec![0.0f64; self.d];
-        for (j, slot) in cols.chunks_exact_mut(self.n.max(1)).enumerate() {
-            let mut m = 0.0f64;
-            for (i, v) in slot.iter_mut().enumerate() {
-                let x = self.data[i * self.d + j];
-                m = m.max(x.abs());
-                *v = x as f32;
-            }
-            scale[j] = m;
-        }
-        QuantizedColumns { cols, scale }
     }
 
     /// Optional column names.

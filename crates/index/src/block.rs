@@ -6,16 +6,23 @@
 //! a time, re-striding the row-major matrix and allocating a neighbour
 //! list each. This kernel computes them together, in one of two modes:
 //!
-//! * **Quantized admission** (`L1`/`L2`/`L∞` with sane magnitudes) —
-//!   the half-width companion columns
-//!   ([`hos_data::Dataset::to_column_major_f32`]) are streamed once
-//!   per `(block, dim)` to build a conservative *lower bound* on every
-//!   pre-distance; per query, a candidate whose bound already exceeds
-//!   the top-k admission bound ([`TopK::bound`]) is rejected without
-//!   ever touching the exact `f64` data, and only the survivors run
-//!   the exact ascending-dimension fold. See `DESIGN.md` §9 for the
-//!   conservativeness proof; [`quantized_lower_bounds`] exposes the
-//!   bound computation for the property tests that pin it.
+//! * **Sorted sweep with quantized admission** (`L1`/`L2`/`L∞` with
+//!   sane magnitudes) — the live rows are ordered once by their `f32`
+//!   value in the *sort column* (the column with the largest variance)
+//!   and copied into half-width column-major companion columns in that
+//!   order. Each query starts at its own position and walks outward,
+//!   right then left, in [`SWEEP_LANES`] chunks: per chunk it folds a
+//!   conservative *lower bound* on every candidate's pre-distance in
+//!   registers, rejects the chunk (or single candidates) whose bound
+//!   exceeds the top-k admission bound ([`TopK::bound`]) without
+//!   touching the exact `f64` data, and runs the exact
+//!   ascending-dimension fold only for the survivors. Before each
+//!   chunk, the sort column's term alone is tested against the
+//!   admission bound: once it loses, every candidate further out on
+//!   that side loses too, so the side stops. See `DESIGN.md` §9 for
+//!   the conservativeness and stop-rule proofs;
+//!   [`quantized_lower_bounds`] exposes the bound computation for the
+//!   property tests that pin it.
 //! * **Exact fallback** (`Lp`, or magnitudes past the overflow
 //!   guards) — the original blocked layout: the matrix is transposed
 //!   once into column-major form ([`hos_data::Dataset::to_column_major`]),
@@ -27,19 +34,22 @@
 //!
 //! # Parallelism
 //!
-//! Queries are independent, so both modes split the live ids into
+//! Queries are independent, so both modes split the queries into
 //! contiguous slices — [`SLICES_PER_WORKER`] per [`crate::pool`]
 //! worker — that the calling thread and the pool workers claim one at
-//! a time ([`crate::pool::parallel_map`]). Each slice owns its
-//! bound row (or accumulator block), its [`TopK`] and its counters;
-//! the shared inputs (column-major copies, tombstone list) are built
-//! once and only read. Per-slice `ods` are concatenated in slice order
-//! and counters summed, so ids stay ascending and the totals match the
-//! serial pass exactly. More slices than threads means a thread that
-//! is preempted or slow to wake leaves the remaining slices to the
-//! others, instead of a static split waiting on its slowest half. A
-//! call from inside a pool worker runs every slice serially (the
-//! pool's nesting rule), with the same result.
+//! a time ([`crate::pool::parallel_map`]). The exact fallback slices
+//! the live ids in ascending order; the sweep slices them in sort
+//! order, so consecutive queries of a slice walk overlapping windows
+//! of the columns. Each slice owns its accumulator block (exact mode),
+//! its [`TopK`] and its counters; the shared inputs (column-major
+//! copies) are built once and only read. Per-slice `ods` are
+//! concatenated (and, for the sweep, put back into ascending id order)
+//! and counters summed, so the totals match the serial pass exactly.
+//! More slices than threads means a thread that is preempted or slow
+//! to wake leaves the remaining slices to the others, instead of a
+//! static split waiting on its slowest half. A call from inside a pool
+//! worker runs every slice serially (the pool's nesting rule), with the
+//! same result.
 //!
 //! # Bit-identity
 //!
@@ -50,11 +60,12 @@
 //! `LinearScan`). Each query runs start to finish inside one slice, so
 //! the slice split never touches a per-pair fold, a selection or a
 //! sum. Chunking lanes span points, never dimensions, so
-//! each pair's accumulator sequence is untouched; the quantized path
-//! only *skips* pairs that [`TopK::offer`]'s fast path would provably
+//! each pair's accumulator sequence is untouched; the sweep only
+//! *skips* pairs that [`TopK::offer`]'s fast path would provably
 //! reject (`lb > bound()` strict — a pair *at* the bound still folds,
 //! because a smaller id ties into the heap). Selection and summation
-//! go through the shared `(pre, id)` order, so the ODs equal per-point
+//! go through the shared `(pre, id)` order, which does not depend on
+//! the order candidates are visited in, so the ODs equal per-point
 //! [`crate::knn::KnnEngine::od`] calls **bit for bit**; the tests here
 //! assert that with `assert_eq!` across metrics and tombstones.
 //!
@@ -65,18 +76,20 @@
 //! checked per-point path (`try_od`) returns, instead of silently
 //! understating every OD. [`all_points_full_od_counted`] additionally
 //! reports `distance_evals` (exact pair folds) and `filtered`
-//! (quantized-bound rejects); they always satisfy
-//! `distance_evals + filtered == live * (live - 1)`.
+//! (quantized-bound rejects and pairs past a side's stop); they always
+//! satisfy `distance_evals + filtered == live * (live - 1)`. How the
+//! two split depends on the visiting order — which candidates a query
+//! meets before its heap tightens — the ODs do not.
 
 use crate::error::IndexError;
 use crate::pool::{parallel_map, pool_size};
 use crate::topk::TopK;
-use hos_data::{Dataset, Metric, PointId, QuantizedColumns};
+use hos_data::{Dataset, Metric, PointId};
 
 /// Query slices per pool worker in [`fan_out`]: enough that a
 /// preempted or slow thread's share is picked up by the others, few
-/// enough that per-slice setup (one bound row or accumulator block,
-/// one heap) stays noise.
+/// enough that per-slice setup (one accumulator block, one heap) stays
+/// noise.
 const SLICES_PER_WORKER: usize = 4;
 
 /// Queries per block: big enough to amortise each column stream,
@@ -84,9 +97,13 @@ const SLICES_PER_WORKER: usize = 4;
 const BLOCK: usize = 32;
 
 /// Chunk width of the point-lane inner loops (`f64` exact fold). Four
-/// 64-bit lanes fill a 256-bit vector; the `f32` quantized fold uses
-/// twice as many.
+/// 64-bit lanes fill a 256-bit vector.
 const LANES: usize = 4;
+
+/// Chunk width of the sorted sweep: the lower bounds of one chunk are
+/// folded in registers, and its min-tree retires all 16 candidates on
+/// a single compare.
+const SWEEP_LANES: usize = 16;
 
 /// Per-term slack subtracted from a quantized gap, in units of the
 /// column's magnitude scale: `2^-19`, a 32x margin over the worst-case
@@ -104,6 +121,30 @@ const QUANT_GUARD_PER_DIM: f64 = 1e-6;
 /// `1e15` fall back to the exact kernel.
 const QUANT_MAX_SCALE: f64 = 1e15;
 
+/// Binds `$lane` to the metric's `f32` bound-accumulate step and
+/// evaluates `$body` once per metric, so every sweep loop is
+/// monomorphized with its step inlined: the metric dispatch sits
+/// outside the loops, never inside them.
+macro_rules! with_lane {
+    ($metric:expr, $lane:ident => $body:expr) => {
+        match $metric {
+            Metric::L1 => {
+                let $lane = |a: f32, t: f32| a + t;
+                $body
+            }
+            Metric::L2 => {
+                let $lane = |a: f32, t: f32| a + t * t;
+                $body
+            }
+            Metric::LInf => {
+                let $lane = |a: f32, t: f32| a.max(t);
+                $body
+            }
+            Metric::Lp(_) => unreachable!("Lp never takes the quantized path"),
+        }
+    };
+}
+
 /// Result of [`all_points_full_od_counted`]: the ranked ODs plus the
 /// kernel's work accounting.
 #[derive(Clone, Debug)]
@@ -111,11 +152,13 @@ pub struct BlockedScan {
     /// `(id, full-space OD)` per live point, ascending id order.
     pub ods: Vec<(PointId, f64)>,
     /// Exact `f64` pair folds performed (live pairs only; the exact
-    /// fallback folds every live pair, the quantized path only the
-    /// admission survivors).
+    /// fallback folds every live pair, the sorted sweep only the
+    /// admission survivors — how many depends on the order the sweep
+    /// visits candidates in, the ODs do not).
     pub distance_evals: u64,
-    /// Live pairs rejected by the quantized lower bound without an
-    /// exact fold. `distance_evals + filtered == live * (live - 1)`.
+    /// Live pairs rejected without an exact fold: by the quantized
+    /// lower bound, or by lying past the point where a sweep side
+    /// stopped. `distance_evals + filtered == live * (live - 1)`.
     pub filtered: u64,
 }
 
@@ -157,42 +200,49 @@ pub fn all_points_full_od_counted(
             filtered: 0,
         });
     }
-    if quantized_admissible(metric, ds) {
-        Ok(scan_quantized(ds, metric, k, &live))
-    } else {
-        Ok(scan_exact(ds, metric, k, &live))
-    }
+    Ok(match quantized_scales(metric, ds) {
+        Some(scale) => scan_quantized(ds, metric, k, live, &scale),
+        None => scan_exact(ds, metric, k, &live),
+    })
 }
 
-/// Whether the quantized admission path is sound for this metric and
-/// dataset: `Lp` is excluded (`powf` admits no cheap order-safe lower
+/// Per-column magnitude scales (`max |v|` over every physical row)
+/// when the quantized path is sound for this metric and dataset, else
+/// `None`: `Lp` is excluded (`powf` admits no cheap order-safe lower
 /// bound), as are magnitudes past [`QUANT_MAX_SCALE`].
-fn quantized_admissible(metric: Metric, ds: &Dataset) -> bool {
-    match metric {
-        Metric::L1 | Metric::L2 | Metric::LInf => (0..ds.dim())
-            .all(|j| ds.column(j).fold(0.0f64, |m, v| m.max(v.abs())) < QUANT_MAX_SCALE),
-        Metric::Lp(_) => false,
+fn quantized_scales(metric: Metric, ds: &Dataset) -> Option<Vec<f64>> {
+    if let Metric::Lp(_) = metric {
+        return None;
     }
+    let mut scale = vec![0.0f64; ds.dim()];
+    for i in 0..ds.len() {
+        for (m, v) in scale.iter_mut().zip(ds.row(i)) {
+            *m = m.max(v.abs());
+        }
+    }
+    scale.iter().all(|&m| m < QUANT_MAX_SCALE).then_some(scale)
 }
 
-/// Conservative lower bounds on the full-space pre-distance from live
-/// point `q` to every *physical* row (tombstoned slots included
-/// positionally; callers filter), computed exactly as the quantized
-/// admission path computes them — or `None` when that path is
-/// inadmissible ([`quantized_admissible`]) and the kernel runs exact.
+/// Conservative lower bounds on the full-space pre-distance from point
+/// `q` to every *physical* row (tombstoned slots included; callers
+/// filter), computed by the sweep's own column build and chunk fold —
+/// or `None` when that path is inadmissible and the kernel runs exact.
 ///
 /// Guarantee (pinned by the property tests): for every row `i`,
 /// `bounds[i] <= metric.pre_dist_sub(ds.row(q), ds.row(i), full)`.
 pub fn quantized_lower_bounds(ds: &Dataset, metric: Metric, q: PointId) -> Option<Vec<f64>> {
-    if !quantized_admissible(metric, ds) || q >= ds.len() {
+    if q >= ds.len() {
         return None;
     }
-    let n = ds.len();
-    let qcols = ds.to_column_major_f32();
-    let mut acc = vec![0.0f32; n];
-    fold_quantized_rows(metric, &qcols, n, ds.dim(), &[q], &mut acc);
-    let guard = quant_guard(ds.dim());
-    Some(acc.iter().map(|&lb| f64::from(lb) * guard).collect())
+    let scale = quantized_scales(metric, ds)?;
+    let cols = SortedColumns::new(ds, (0..ds.len()).collect(), &scale);
+    let qv = cols.values(cols.pos[q]);
+    let raw = with_lane!(metric, lane => cols.all_bounds(&qv, lane));
+    let mut bounds = vec![0.0f64; ds.len()];
+    for (&id, &lb) in cols.order.iter().zip(&raw) {
+        bounds[id] = f64::from(lb) * cols.guard;
+    }
+    Some(bounds)
 }
 
 #[inline]
@@ -200,18 +250,18 @@ fn quant_guard(d: usize) -> f64 {
     (1.0 - d as f64 * QUANT_GUARD_PER_DIM).max(0.0)
 }
 
-/// Runs `scan` over contiguous slices of `live`, claimed one at a time
-/// by the caller and the pool workers, then concatenates the `ods` in slice order (ids stay
-/// ascending) and sums the counters — see the module docs'
+/// Runs `scan` over contiguous slices of `queries`, claimed one at a
+/// time by the caller and the pool workers, then concatenates the
+/// `ods` in slice order and sums the counters — see the module docs'
 /// Parallelism section.
-fn fan_out<F>(live: &[PointId], scan: F) -> BlockedScan
+fn fan_out<F>(queries: &[PointId], scan: F) -> BlockedScan
 where
     F: Fn(&[PointId]) -> BlockedScan + Sync,
 {
-    let slice_len = live.len().div_ceil(SLICES_PER_WORKER * pool_size());
-    let parts = parallel_map(live.chunks(slice_len), pool_size(), scan);
+    let slice_len = queries.len().div_ceil(SLICES_PER_WORKER * pool_size());
+    let parts = parallel_map(queries.chunks(slice_len), pool_size(), scan);
     let mut out = BlockedScan {
-        ods: Vec::with_capacity(live.len()),
+        ods: Vec::with_capacity(queries.len()),
         distance_evals: 0,
         filtered: 0,
     };
@@ -321,178 +371,280 @@ fn fold_exact_column(metric: Metric, row: &mut [f64], col: &[f64], qv: f64) {
     }
 }
 
-/// Chunk width of the lower-bound sweep's min-tree: wide enough that
-/// one rejected chunk retires 16 candidates on a single compare.
-const SWEEP_LANES: usize = 16;
+/// One conservative `f32` gap term: the quantized gap less the
+/// column's rounding slack, floored at zero, so it never exceeds the
+/// exact `f64` gap `|q_j - p_j|`. Monotone in `|qv - v|`.
+#[inline(always)]
+fn gap_term(qv: f32, v: f32, slack: f32) -> f32 {
+    ((qv - v).abs() - slack).max(0.0)
+}
 
-/// Quantized-admission kernel: half-width lower bounds for the whole
-/// block, then per query an exact scalar fold only for candidates the
-/// bound cannot reject.
-///
-/// The per-query sweep never branches on liveness: tombstoned slots
-/// and the query's own slot are overwritten with `+inf` lower bounds,
-/// which every admission compare rejects, so the hot loop reduces to a
-/// chunked min-tree over the bound row — one compare retires a whole
-/// chunk once the top-k bound has tightened. `filtered` is then the
-/// arithmetic complement `live - 1 - evals` per query.
-fn scan_quantized(ds: &Dataset, metric: Metric, k: usize, live: &[PointId]) -> BlockedScan {
-    let n = ds.len();
+/// Lanewise minimum of one chunk of bounds, as a branch-free min-tree.
+#[inline(always)]
+fn chunk_min(c: &[f32; SWEEP_LANES]) -> f32 {
+    let mut m = [0.0f32; SWEEP_LANES / 2];
+    for j in 0..SWEEP_LANES / 2 {
+        m[j] = if c[j] < c[j + SWEEP_LANES / 2] {
+            c[j]
+        } else {
+            c[j + SWEEP_LANES / 2]
+        };
+    }
+    let mut width = SWEEP_LANES / 2;
+    while width > 1 {
+        width /= 2;
+        for j in 0..width {
+            m[j] = if m[j] < m[j + width] {
+                m[j]
+            } else {
+                m[j + width]
+            };
+        }
+    }
+    m[0]
+}
+
+/// The sweep's `f32` companion columns: the rows of a set of points,
+/// ordered along the sort column and transposed, plus the per-column
+/// rounding slack.
+struct SortedColumns {
+    /// Points in sweep order: ascending `f32` value in column `s`
+    /// (`total_cmp`), ties by ascending id.
+    order: Vec<PointId>,
+    /// `pos[id]` = position of `id` in `order` (ids not in `order`
+    /// keep a meaningless `0`).
+    pos: Vec<usize>,
+    /// `cols[j * m + r]` = value of `order[r]` in dimension `j`,
+    /// rounded to the nearest `f32` (`m = order.len()`).
+    cols: Vec<f32>,
+    /// `slack[j]` = `scale[j] * QUANT_SLACK`, the per-term slack that
+    /// keeps [`gap_term`] below the exact gap.
+    slack: Vec<f32>,
+    /// The sort column: largest variance over `order`, ties to the
+    /// lower index.
+    s: usize,
+    /// [`quant_guard`] for the dataset's dimensionality.
+    guard: f64,
+}
+
+impl SortedColumns {
+    /// Sorts `ids` along the widest column and builds the one `f32`
+    /// copy in that order. `scale` must bound `|v|` over every row in
+    /// `ids`, per column ([`quantized_scales`]).
+    fn new(ds: &Dataset, mut ids: Vec<PointId>, scale: &[f64]) -> Self {
+        let d = ds.dim();
+        let s = widest_column(ds, &ids);
+        let key = |i: PointId| ds.get(i, s) as f32;
+        ids.sort_unstable_by(|&a, &b| key(a).total_cmp(&key(b)).then(a.cmp(&b)));
+        let m = ids.len();
+        let mut pos = vec![0usize; ds.len()];
+        let mut cols = vec![0.0f32; m * d];
+        for (r, &id) in ids.iter().enumerate() {
+            pos[id] = r;
+            for (j, &v) in ds.row(id).iter().enumerate() {
+                cols[j * m + r] = v as f32;
+            }
+        }
+        SortedColumns {
+            order: ids,
+            pos,
+            cols,
+            slack: scale.iter().map(|&m| (m * QUANT_SLACK) as f32).collect(),
+            s,
+            guard: quant_guard(d),
+        }
+    }
+
+    /// Column `j` in sweep order.
+    #[inline(always)]
+    fn col(&self, j: usize) -> &[f32] {
+        let m = self.order.len();
+        &self.cols[j * m..(j + 1) * m]
+    }
+
+    /// The `f32` values of the point at position `r`, one per column.
+    fn values(&self, r: usize) -> Vec<f32> {
+        (0..self.slack.len()).map(|j| self.col(j)[r]).collect()
+    }
+
+    /// Unguarded lower bounds of the [`SWEEP_LANES`] points at
+    /// positions `r0..r0 + SWEEP_LANES` against query values `qv`:
+    /// lane `l` folds `lane(acc, gap_term(..))` over ascending
+    /// dimensions from `0.0`, in registers.
+    #[inline(always)]
+    fn chunk_bounds<L: Fn(f32, f32) -> f32>(
+        &self,
+        qv: &[f32],
+        r0: usize,
+        lane: L,
+    ) -> [f32; SWEEP_LANES] {
+        let mut acc = [0.0f32; SWEEP_LANES];
+        for (j, (&q, &slack)) in qv.iter().zip(&self.slack).enumerate() {
+            let c = &self.col(j)[r0..r0 + SWEEP_LANES];
+            for (a, &v) in acc.iter_mut().zip(c) {
+                *a = lane(*a, gap_term(q, v, slack));
+            }
+        }
+        acc
+    }
+
+    /// [`SortedColumns::chunk_bounds`] for the single point at
+    /// position `r` — the same per-lane op sequence, so the same bits.
+    #[inline(always)]
+    fn point_bound<L: Fn(f32, f32) -> f32>(&self, qv: &[f32], r: usize, lane: L) -> f32 {
+        let mut acc = 0.0f32;
+        for (j, (&q, &slack)) in qv.iter().zip(&self.slack).enumerate() {
+            acc = lane(acc, gap_term(q, self.col(j)[r], slack));
+        }
+        acc
+    }
+
+    /// Unguarded bounds at every position, through the same chunk and
+    /// tail folds the sweep runs.
+    fn all_bounds<L: Fn(f32, f32) -> f32 + Copy>(&self, qv: &[f32], lane: L) -> Vec<f32> {
+        let m = self.order.len();
+        let full = m - m % SWEEP_LANES;
+        let mut out = Vec::with_capacity(m);
+        for r0 in (0..full).step_by(SWEEP_LANES) {
+            out.extend(self.chunk_bounds(qv, r0, lane));
+        }
+        out.extend((full..m).map(|r| self.point_bound(qv, r, lane)));
+        out
+    }
+
+    /// The OD of the point `q` and its exact-fold count: a sweep from
+    /// its own position outward, right then left.
+    ///
+    /// Along either side the sort column's term `t_s` never decreases
+    /// (the `f32` values are sorted and rounding is monotone), and the
+    /// full bound of any candidate is `>= lane(0, t_s)` (every term is
+    /// `>= 0` and each step is monotone). So once `lane(0, t_s)` at the
+    /// nearest candidate of the next chunk fails the strict admission
+    /// test, every candidate from there out fails it too — and the
+    /// admission bound `w` only shrinks — so that side stops.
+    fn sweep<L: Fn(f32, f32) -> f32 + Copy>(
+        &self,
+        ds: &Dataset,
+        metric: Metric,
+        q: PointId,
+        top: &mut TopK,
+        lane: L,
+    ) -> (f64, u64) {
+        let m = self.order.len();
+        let p = self.pos[q];
+        let qv = &self.values(p);
+        let (col_s, qs, slack_s) = (self.col(self.s), qv[self.s], self.slack[self.s]);
+        let (qrow, guard) = (ds.row(q), self.guard);
+        let mut evals = 0u64;
+        let mut w = top.bound();
+        let stops =
+            |r: usize, w: f64| f64::from(lane(0.0, gap_term(qs, col_s[r], slack_s))) * guard > w;
+        // Strict reject only — `offer` provably drops any pre above
+        // the bound, and `lb * guard <= pre`; a pair *at* the bound can
+        // still tie in on a smaller id.
+        let mut admit = |lbs: &[f32], r0: usize, w: f64, top: &mut TopK| {
+            for (l, &lb) in lbs.iter().enumerate() {
+                if f64::from(lb) * guard <= w {
+                    let id = self.order[r0 + l];
+                    top.offer(exact_pre(metric, qrow, ds.row(id)), id);
+                    evals += 1;
+                }
+            }
+            top.bound()
+        };
+        let mut r = p + 1;
+        while r < m && !stops(r, w) {
+            if r + SWEEP_LANES <= m {
+                let lbs = self.chunk_bounds(qv, r, lane);
+                if f64::from(chunk_min(&lbs)) * guard <= w {
+                    w = admit(&lbs, r, w, top);
+                }
+                r += SWEEP_LANES;
+            } else {
+                w = admit(&[self.point_bound(qv, r, lane)], r, w, top);
+                r += 1;
+            }
+        }
+        // Left: `r` is the exclusive end of the next chunk.
+        let mut r = p;
+        while r > 0 && !stops(r - 1, w) {
+            if r >= SWEEP_LANES {
+                r -= SWEEP_LANES;
+                let lbs = self.chunk_bounds(qv, r, lane);
+                if f64::from(chunk_min(&lbs)) * guard <= w {
+                    w = admit(&lbs, r, w, top);
+                }
+            } else {
+                r -= 1;
+                w = admit(&[self.point_bound(qv, r, lane)], r, w, top);
+            }
+        }
+        // Ascending (pre, id) summation — the shared OD order.
+        let od: f64 = top.sorted().iter().map(|c| metric.finish(c.pre)).sum();
+        (od, evals)
+    }
+}
+
+/// The column with the largest variance over `ids` (exact `f64`, two
+/// passes), ties to the lower index.
+fn widest_column(ds: &Dataset, ids: &[PointId]) -> usize {
     let d = ds.dim();
-    let qcols = ds.to_column_major_f32();
-    let guard = quant_guard(d);
-    let dead_ids: Vec<PointId> = (0..n).filter(|&i| !ds.is_live(i)).collect();
-    let pairs_per_query = live.len() as u64 - 1;
-    fan_out(live, |slice| {
+    let mut mean = vec![0.0f64; d];
+    for &i in ids {
+        for (m, &v) in mean.iter_mut().zip(ds.row(i)) {
+            *m += v;
+        }
+    }
+    for m in &mut mean {
+        *m /= ids.len() as f64;
+    }
+    let mut var = vec![0.0f64; d];
+    for &i in ids {
+        for ((s, &v), &m) in var.iter_mut().zip(ds.row(i)).zip(&mean) {
+            *s += (v - m) * (v - m);
+        }
+    }
+    let mut best = 0;
+    for (j, &v) in var.iter().enumerate() {
+        if v > var[best] {
+            best = j;
+        }
+    }
+    best
+}
+
+/// Sorted-sweep kernel: one sort and one `f32` column copy per scan,
+/// then per query an outward sweep that folds exact `f64` only for
+/// candidates the quantized bound cannot reject. Dead rows are absent
+/// from the order, so the sweep never branches on liveness; `filtered`
+/// is the arithmetic complement `live - 1 - evals` per query.
+fn scan_quantized(
+    ds: &Dataset,
+    metric: Metric,
+    k: usize,
+    live: Vec<PointId>,
+    scale: &[f64],
+) -> BlockedScan {
+    let cols = SortedColumns::new(ds, live, scale);
+    let pairs_per_query = cols.order.len() as u64 - 1;
+    let mut out = with_lane!(metric, lane => fan_out(&cols.order, |slice| {
         let mut ods = Vec::with_capacity(slice.len());
-        let mut acc = vec![0.0f32; n];
         let mut top = TopK::new(k);
         let mut evals = 0u64;
-        let mut filtered = 0u64;
-        // One query at a time, unlike the exact path's query blocks:
-        // each query streams the f32 columns into its own bound row
-        // (`4n` bytes — 120 KB at n = 30 000, so L2- rather than
-        // L1-resident), and the sweep reads that row back once.
         for &q in slice {
-            let row = &mut acc[..];
-            fold_quantized_rows(metric, &qcols, n, d, &[q], row);
-            for &i in &dead_ids {
-                row[i] = f32::INFINITY;
-            }
-            row[q] = f32::INFINITY;
             top.reset(k);
-            let qrow = ds.row(q);
-            let mut q_evals = 0u64;
-            // Fill: the first k live candidates go straight to exact
-            // folds — the bound is +inf until the heap is full.
-            let mut i = 0usize;
-            while i < n && !top.is_full() {
-                if row[i].is_finite() {
-                    let pre = exact_pre(metric, qrow, ds.row(i));
-                    q_evals += 1;
-                    top.offer(pre, i);
-                }
-                i += 1;
-            }
-            // Sweep: strict reject only — `offer` provably drops any
-            // pre above the bound, and `lb * guard <= pre`; a pair
-            // *at* the bound can still tie in on a smaller id.
-            let mut w = top.bound();
-            while i + SWEEP_LANES <= n {
-                let c = &row[i..i + SWEEP_LANES];
-                let mut m = [0.0f32; SWEEP_LANES / 2];
-                for j in 0..SWEEP_LANES / 2 {
-                    m[j] = if c[j] < c[j + SWEEP_LANES / 2] {
-                        c[j]
-                    } else {
-                        c[j + SWEEP_LANES / 2]
-                    };
-                }
-                let mut width = SWEEP_LANES / 2;
-                while width > 1 {
-                    width /= 2;
-                    for j in 0..width {
-                        m[j] = if m[j] < m[j + width] {
-                            m[j]
-                        } else {
-                            m[j + width]
-                        };
-                    }
-                }
-                if f64::from(m[0]) * guard <= w {
-                    for (j, &lb) in c.iter().enumerate() {
-                        if f64::from(lb) * guard <= w {
-                            let pre = exact_pre(metric, qrow, ds.row(i + j));
-                            q_evals += 1;
-                            top.offer(pre, i + j);
-                        }
-                    }
-                    w = top.bound();
-                }
-                i += SWEEP_LANES;
-            }
-            for (j, &lb) in row[i..].iter().enumerate() {
-                if f64::from(lb) * guard <= w {
-                    let pre = exact_pre(metric, qrow, ds.row(i + j));
-                    q_evals += 1;
-                    top.offer(pre, i + j);
-                    w = top.bound();
-                }
-            }
-            let od: f64 = top.sorted().iter().map(|c| metric.finish(c.pre)).sum();
+            let (od, q_evals) = cols.sweep(ds, metric, q, &mut top, lane);
             ods.push((q, od));
             evals += q_evals;
-            filtered += pairs_per_query - q_evals;
         }
         BlockedScan {
             ods,
             distance_evals: evals,
-            filtered,
+            filtered: slice.len() as u64 * pairs_per_query - evals,
         }
-    })
-}
-
-/// Chunk width of the `f32` lower-bound fold: eight 32-bit lanes fill
-/// a 256-bit vector.
-const QLANES: usize = 8;
-
-/// Streams the `f32` companion columns (ascending dimensions) into a
-/// block of lower-bound accumulator rows. Per term the rounding slack
-/// `scale[j] * 2^-19` is subtracted and the result floored at zero, so
-/// each accumulated term under-estimates the exact `f64` gap term; the
-/// caller applies the multiplicative [`quant_guard`] to also cover the
-/// `f32` square/accumulate rounding. The metric dispatch sits outside
-/// the streaming loops so each inner body is a branch-free chunked
-/// loop the compiler can vectorize.
-fn fold_quantized_rows(
-    metric: Metric,
-    qcols: &QuantizedColumns,
-    n: usize,
-    d: usize,
-    block: &[PointId],
-    acc: &mut [f32],
-) {
-    debug_assert_eq!(acc.len(), block.len() * n);
-    acc.fill(0.0);
-    macro_rules! stream {
-        ($lane:expr, $tail:expr) => {
-            for j in 0..d {
-                let col = &qcols.cols[j * n..(j + 1) * n];
-                let slack = (qcols.scale[j] * QUANT_SLACK) as f32;
-                for (row, &q) in acc.chunks_exact_mut(n).zip(block) {
-                    let qv = col[q];
-                    let mut rc = row.chunks_exact_mut(QLANES);
-                    let mut cc = col.chunks_exact(QLANES);
-                    for (r, c) in (&mut rc).zip(&mut cc) {
-                        for l in 0..QLANES {
-                            let t = ((qv - c[l]).abs() - slack).max(0.0);
-                            $lane(&mut r[l], t);
-                        }
-                    }
-                    for (r, &p) in rc.into_remainder().iter_mut().zip(cc.remainder()) {
-                        let t = ((qv - p).abs() - slack).max(0.0);
-                        $tail(r, t);
-                    }
-                }
-            }
-        };
-    }
-    match metric {
-        Metric::L1 => {
-            stream!(|r: &mut f32, t: f32| *r += t, |r: &mut f32, t: f32| *r += t)
-        }
-        Metric::L2 => {
-            stream!(|r: &mut f32, t: f32| *r += t * t, |r: &mut f32, t: f32| {
-                *r += t * t
-            })
-        }
-        Metric::LInf => {
-            stream!(
-                |r: &mut f32, t: f32| *r = r.max(t),
-                |r: &mut f32, t: f32| *r = r.max(t)
-            )
-        }
-        Metric::Lp(_) => unreachable!("Lp never takes the quantized path"),
-    }
+    }));
+    out.ods.sort_unstable_by_key(|&(id, _)| id);
+    out
 }
 
 /// Exact full-space pre-distance of one pair: the ascending-dimension
@@ -513,6 +665,7 @@ mod tests {
     use crate::knn::{build_engine, Engine};
     use crate::sharded::build_engine_sharded;
     use hos_data::Subspace;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -678,5 +831,60 @@ mod tests {
         let scan = all_points_full_od_counted(&huge, Metric::L2, 1).unwrap();
         assert_eq!(scan.filtered, 0);
         assert_eq!(scan.ods, vec![(0, 2.0e15), (1, 2.0e15)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The stop rule's lemma, for every ordered pair, every column
+        /// and L1/L2/L∞, at magnitudes up to just under
+        /// [`QUANT_MAX_SCALE`]: the lone term `lane(0, t_j)` never
+        /// exceeds the pair's full unguarded bound (compared as `f32`,
+        /// no tolerance); the sort column's term never decreases
+        /// walking outward from any position; and the guarded bound
+        /// stays below the exact pre-distance — also when the points
+        /// sit far off zero, closer together than one `f32` ulp of
+        /// their magnitude.
+        #[test]
+        fn stop_term_never_exceeds_the_pair_bound(
+            rows in prop::collection::vec(prop::collection::vec(-1.0f64..1.0, 3), 2..40),
+            exp in 0i32..15,
+            mantissa in 1.0f64..6.5,
+            offset in prop_oneof![Just(0.0f64), Just(0.5)],
+            spread_exp in 0i32..10,
+        ) {
+            // |value| <= 6.5e14 * 1.5 < QUANT_MAX_SCALE.
+            let magnitude = mantissa * 10f64.powi(exp);
+            let spread = 10f64.powi(-spread_exp);
+            let rows: Vec<Vec<f64>> = rows
+                .iter()
+                .map(|r| r.iter().map(|v| magnitude * (offset + v * spread)).collect())
+                .collect();
+            let ds = Dataset::from_rows(&rows).unwrap();
+            for metric in [Metric::L1, Metric::L2, Metric::LInf] {
+                let scale = quantized_scales(metric, &ds).expect("below QUANT_MAX_SCALE");
+                let cols = SortedColumns::new(&ds, (0..ds.len()).collect(), &scale);
+                let m = cols.order.len();
+                for p in 0..m {
+                    let qv = cols.values(p);
+                    let lbs = with_lane!(metric, lane => cols.all_bounds(&qv, lane));
+                    let t = |j: usize, r: usize| gap_term(qv[j], cols.col(j)[r], cols.slack[j]);
+                    for (r, &lb) in lbs.iter().enumerate() {
+                        for j in 0..ds.dim() {
+                            let alone = with_lane!(metric, lane => lane(0.0, t(j, r)));
+                            prop_assert!(alone <= lb, "{metric:?} ({p},{r}) col {j}: {alone} > {lb}");
+                        }
+                        let exact = exact_pre(metric, ds.row(cols.order[p]), ds.row(cols.order[r]));
+                        prop_assert!(f64::from(lb) * cols.guard <= exact, "{metric:?} ({p},{r})");
+                    }
+                    for r in p + 1..m - 1 {
+                        prop_assert!(t(cols.s, r) <= t(cols.s, r + 1), "right of {p} at {r}");
+                    }
+                    for r in 1..p {
+                        prop_assert!(t(cols.s, r - 1) >= t(cols.s, r), "left of {p} at {r}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -300,3 +300,94 @@ proptest! {
             "OD({sub}) = {od_sub} > OD({sup}) = {od_sup}");
     }
 }
+
+/// Every live point's blocked-kernel OD `==` its `LinearScan` OD under
+/// all four metrics, with the pair accounting covering every live pair.
+/// The kernel ranks every live point, so the queries at the first and
+/// last sorted positions are always among those checked.
+fn assert_kernel_matches_linear(label: &str, ds: &Dataset, k: usize) {
+    let live = ds.live_len() as u64;
+    for metric in [Metric::L1, Metric::L2, Metric::LInf, Metric::Lp(3.0)] {
+        let scan = all_points_full_od_counted(ds, metric, k).unwrap();
+        assert_eq!(
+            scan.distance_evals + scan.filtered,
+            live * (live - 1),
+            "{label} {metric:?}"
+        );
+        assert_eq!(scan.ods.len(), ds.live_len(), "{label} {metric:?}");
+        let lin = LinearScan::new(ds.clone(), metric);
+        let full = ds.full_space();
+        for &(id, od) in &scan.ods {
+            assert_eq!(
+                od,
+                lin.od(ds.row(id), k, full, Some(id)),
+                "{label} {metric:?} k={k} row {id}"
+            );
+        }
+    }
+}
+
+/// Deterministic pseudo-random values in `[-1, 1)` (64-bit LCG).
+fn lcg(state: &mut u64) -> f64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    (*state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// The sorted sweep's edge cases, each against the `LinearScan`
+/// oracle with `==`: long runs of equal values in the sort column,
+/// tombstones inside the windows, k past one chunk and k = live − 1,
+/// fewer points than one chunk, negative coordinates, a constant
+/// column and all-equal data.
+#[test]
+fn sorted_sweep_edge_cases_bit_identical_to_linear_scan() {
+    let mut s = 7u64;
+    // Column 0 has by far the largest variance, so it is the sort
+    // column, and it takes only three values: most neighbours tie in
+    // it and the order falls back to ids inside each run.
+    let ties: Vec<Vec<f64>> = (0..150)
+        .map(|i| vec![[-100.0, 0.0, 100.0][i % 3], lcg(&mut s), lcg(&mut s) * 0.5])
+        .collect();
+    let ties = Dataset::from_rows(&ties).unwrap();
+    for k in [1usize, 5, 17, 40] {
+        assert_kernel_matches_linear("ties", &ties, k);
+    }
+
+    // Negative coordinates, with tombstones scattered through every
+    // query's window (and at both ends of the id range).
+    let neg: Vec<Vec<f64>> = (0..120)
+        .map(|_| (0..4).map(|_| lcg(&mut s) * 30.0 - 40.0).collect())
+        .collect();
+    let mut neg = Dataset::from_rows(&neg).unwrap();
+    for id in (0..120).step_by(7).chain([1, 118]) {
+        neg.remove_row(id).unwrap();
+    }
+    for k in [1usize, 3, 20] {
+        assert_kernel_matches_linear("negative + tombstones", &neg, k);
+    }
+    let live = neg.live_len();
+    assert_kernel_matches_linear("negative k = live - 1", &neg, live - 1);
+
+    // Fewer points than one sweep chunk: only the per-point path runs.
+    for n in [2usize, 5, 15] {
+        let small: Vec<Vec<f64>> = (0..n)
+            .map(|_| vec![lcg(&mut s), lcg(&mut s) * 2.0])
+            .collect();
+        let small = Dataset::from_rows(&small).unwrap();
+        for k in 1..n {
+            assert_kernel_matches_linear("n < 16", &small, k);
+        }
+    }
+
+    // One constant column beside varying ones, then all-equal data.
+    let constant: Vec<Vec<f64>> = (0..70)
+        .map(|_| vec![3.5, lcg(&mut s), lcg(&mut s)])
+        .collect();
+    let constant = Dataset::from_rows(&constant).unwrap();
+    assert_kernel_matches_linear("constant column", &constant, 6);
+    let flat = Dataset::from_rows(&vec![vec![-2.0, 2.0, 0.0]; 50]).unwrap();
+    for k in [1usize, 16, 49] {
+        assert_kernel_matches_linear("all equal", &flat, k);
+    }
+}
